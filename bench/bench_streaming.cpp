@@ -23,7 +23,8 @@ using namespace turbo;
 
 namespace {
 
-constexpr uint32_t kCapacity = 64;
+// The serving default: what an endpoint request without `capacity=` gets.
+const uint32_t kCapacity = sparql::ExecOptions{}.channel_capacity;
 
 struct Measured {
   double ttfr_ms = 0;        ///< Open + first Next

@@ -21,7 +21,7 @@
 //          N-Triples lines), --no-inference, --max-rows N (server-style
 //          delivery cap), --timeout-ms N (per-query deadline), --explain,
 //          --stream[=capacity] (constant-memory streaming delivery over a
-//          bounded channel; default capacity 64)
+//          bounded channel; default capacity 256)
 //          (print the executed operator tree with per-operator row counts).
 //
 // Live updates: the engine is wrapped in a LiveStore, so data is mutable
@@ -183,7 +183,8 @@ int main(int argc, char** argv) {
     else if (arg == "--max-rows") limits.max_rows = std::strtoull(next(), nullptr, 10);
     else if (arg == "--timeout-ms") limits.timeout_ms = std::atoll(next());
     else if (arg == "--explain") limits.explain = true;
-    else if (arg == "--stream") limits.stream_capacity = 64;
+    else if (arg == "--stream")
+      limits.stream_capacity = sparql::ExecOptions{}.channel_capacity;
     else if (arg.rfind("--stream=", 0) == 0)
       limits.stream_capacity =
           std::max(1u, static_cast<uint32_t>(std::atoi(arg.c_str() + 9)));

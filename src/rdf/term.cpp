@@ -49,33 +49,41 @@ std::optional<uint32_t> ParseHex(std::string_view s, size_t i, size_t n) {
   return v;
 }
 
+/// Appends EscapeNTriples(s) to `*out`, copying unescaped runs whole.
+void AppendEscapedNTriples(std::string_view s, std::string* out) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '\\': out->append("\\\\"); break;
+      case '"': out->append("\\\""); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      case '\b': out->append("\\b"); break;
+      case '\f': out->append("\\f"); break;
+      default: {
+        // Remaining C0 controls have no ECHAR; the spec's way to write them
+        // is a \uXXXX numeric escape. Bytes >= 0x20 (including multi-byte
+        // UTF-8 sequences) pass through untouched.
+        char buf[8];
+        int n = std::snprintf(buf, sizeof buf, "\\u%04X", static_cast<unsigned>(c));
+        out->append(buf, static_cast<size_t>(n));
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
 }  // namespace
 
 std::string EscapeNTriples(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        // Remaining C0 controls have no ECHAR; the spec's way to write them
-        // is a \uXXXX numeric escape. Bytes >= 0x20 (including multi-byte
-        // UTF-8 sequences) pass through untouched.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04X", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendEscapedNTriples(s, &out);
   return out;
 }
 
@@ -128,22 +136,37 @@ std::string UnescapeNTriples(std::string_view s) {
 }
 
 std::string Term::ToNTriples() const {
+  std::string out;
+  out.reserve(lexical.size() + datatype.size() + lang.size() + 6);
+  AppendNTriples(&out);
+  return out;
+}
+
+void Term::AppendNTriples(std::string* out) const {
   switch (kind) {
     case TermKind::kIri:
-      return "<" + lexical + ">";
+      out->push_back('<');
+      out->append(lexical);
+      out->push_back('>');
+      return;
     case TermKind::kBlank:
-      return "_:" + lexical;
-    case TermKind::kLiteral: {
-      std::string out = "\"" + EscapeNTriples(lexical) + "\"";
+      out->append("_:");
+      out->append(lexical);
+      return;
+    case TermKind::kLiteral:
+      out->push_back('"');
+      AppendEscapedNTriples(lexical, out);
+      out->push_back('"');
       if (!lang.empty()) {
-        out += "@" + lang;
+        out->push_back('@');
+        out->append(lang);
       } else if (!datatype.empty()) {
-        out += "^^<" + datatype + ">";
+        out->append("^^<");
+        out->append(datatype);
+        out->push_back('>');
       }
-      return out;
-    }
+      return;
   }
-  return {};
 }
 
 std::optional<double> Term::NumericValue() const {

@@ -39,6 +39,8 @@ struct Term {
 
   /// Canonical N-Triples serialization; also the dictionary key.
   std::string ToNTriples() const;
+  /// Appends ToNTriples() to `*out`.
+  void AppendNTriples(std::string* out) const;
 
   /// Numeric value if this is a literal with a numeric-looking lexical form
   /// (integer, decimal, double — datatype is not required, matching the

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -183,16 +184,33 @@ const char* StatusReason(int status) {
 }
 
 bool HttpResponseWriter::Send(const char* data, size_t n) {
+  iovec part{const_cast<char*>(data), n};
+  return SendV(&part, 1);
+}
+
+bool HttpResponseWriter::SendV(iovec* parts, size_t count) {
   if (failed_) return false;
-  while (n > 0) {
-    ssize_t w = ::send(fd_, data, n, MSG_NOSIGNAL);
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = parts;
+    msg.msg_iovlen = count;
+    ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       failed_ = true;  // peer gone (EPIPE/ECONNRESET) or socket shut down
       return false;
     }
-    data += w;
-    n -= static_cast<size_t>(w);
+    // Short write: skip the parts sent whole, trim the one cut in the middle.
+    size_t sent = static_cast<size_t>(w);
+    while (count > 0 && sent >= parts->iov_len) {
+      sent -= parts->iov_len;
+      ++parts;
+      --count;
+    }
+    if (count > 0) {
+      parts->iov_base = static_cast<char*>(parts->iov_base) + sent;
+      parts->iov_len -= sent;
+    }
   }
   return true;
 }
@@ -207,7 +225,9 @@ bool HttpResponseWriter::WriteSimple(int status, const std::string& content_type
                      "\r\nConnection: " + (keep_alive ? "keep-alive" : "close") + "\r\n";
   for (const auto& [k, v] : extra) head += k + ": " + v + "\r\n";
   head += "\r\n";
-  return Send(head.data(), head.size()) && Send(body.data(), body.size());
+  iovec parts[] = {{head.data(), head.size()},
+                   {const_cast<char*>(body.data()), body.size()}};
+  return SendV(parts, 2);
 }
 
 bool HttpResponseWriter::BeginChunked(int status, const std::string& content_type,
@@ -225,10 +245,15 @@ bool HttpResponseWriter::BeginChunked(int status, const std::string& content_typ
 
 bool HttpResponseWriter::Chunk(const std::string& data) {
   if (data.empty()) return !failed_;
+  // Size line, payload and CRLF leave in one sendmsg: under TCP_NODELAY
+  // three separate sends would be three segments.
   char size_line[32];
   int n = std::snprintf(size_line, sizeof size_line, "%zx\r\n", data.size());
-  return Send(size_line, static_cast<size_t>(n)) && Send(data.data(), data.size()) &&
-         Send("\r\n", 2);
+  char crlf[] = {'\r', '\n'};
+  iovec parts[] = {{size_line, static_cast<size_t>(n)},
+                   {const_cast<char*>(data.data()), data.size()},
+                   {crlf, 2}};
+  return SendV(parts, 3);
 }
 
 bool HttpResponseWriter::EndChunked(const std::map<std::string, std::string>& trailers) {

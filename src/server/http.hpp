@@ -15,6 +15,8 @@
 
 #include "util/status.hpp"
 
+struct iovec;  // <sys/uio.h>
+
 namespace turbo::server {
 
 /// One parsed request. Header names are lower-cased; query-string and
@@ -64,8 +66,8 @@ class HttpResponseWriter {
   bool BeginChunked(int status, const std::string& content_type,
                     const std::map<std::string, std::string>& extra_headers = {},
                     const std::string& trailer_names = {}, bool keep_alive = true);
-  /// Sends one chunk; empty data is a no-op (an empty chunk would terminate
-  /// the stream mid-flight).
+  /// Sends one chunk — size line, payload and CRLF in a single write; empty
+  /// data is a no-op (an empty chunk would terminate the stream mid-flight).
   bool Chunk(const std::string& data);
   /// Sends the terminating chunk and any trailers.
   bool EndChunked(const std::map<std::string, std::string>& trailers = {});
@@ -74,6 +76,8 @@ class HttpResponseWriter {
 
  private:
   bool Send(const char* data, size_t n);
+  /// Gathered write of `count` parts, retried across short writes.
+  bool SendV(iovec* parts, size_t count);
 
   int fd_;
   bool failed_ = false;

@@ -1,6 +1,9 @@
 #include "server/result_encoder.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 #include "rdf/term.hpp"
 
@@ -15,47 +18,45 @@ class JsonEncoder final : public ResultEncoder {
     return "application/sparql-results+json";
   }
 
-  std::string Header(const std::vector<std::string>& vars) override {
-    std::string out = "{\"head\":{\"vars\":[";
-    for (size_t i = 0; i < vars.size(); ++i) {
-      if (i) out += ',';
-      out += '"' + JsonEscape(vars[i]) + '"';
-    }
-    out += "]},\"results\":{\"bindings\":[\n";
-    return out;
-  }
-
-  std::string EncodeRow(const std::vector<std::string>& vars, const sparql::Row& row,
-                        const rdf::Dictionary& dict,
-                        const sparql::LocalVocab* local) override {
-    std::string out;
-    if (first_) {
-      first_ = false;
-    } else {
-      out += ",\n";
-    }
-    out += '{';
-    bool any = false;
-    for (size_t i = 0; i < vars.size() && i < row.size(); ++i) {
-      if (row[i] == kInvalidId) continue;  // unbound: the var is omitted
-      const rdf::Term* t = sparql::ResolveTerm(dict, local, row[i]);
-      if (!t) continue;
-      if (any) out += ',';
-      any = true;
-      out += '"' + JsonEscape(vars[i]) + "\":{\"type\":\"";
-      switch (t->kind) {
-        case rdf::TermKind::kIri: out += "uri"; break;
-        case rdf::TermKind::kLiteral: out += "literal"; break;
-        case rdf::TermKind::kBlank: out += "bnode"; break;
+  void AppendRows(const sparql::RowRange& rows, const rdf::Dictionary& dict,
+                  const sparql::LocalVocab* local, std::string* out) override {
+    const size_t width = std::min(rows.width, prefix_.size());
+    for (size_t r = 0; r < rows.rows; ++r) {
+      if (first_)
+        first_ = false;
+      else
+        out->append(",\n", 2);
+      out->push_back('{');
+      const TermId* row = rows.row(r);
+      bool any = false;
+      for (size_t i = 0; i < width; ++i) {
+        if (row[i] == kInvalidId) continue;  // unbound: the var is omitted
+        const rdf::Term* t = sparql::ResolveTerm(dict, local, row[i]);
+        if (!t) continue;
+        if (any) out->push_back(',');
+        any = true;
+        out->append(prefix_[i]);
+        switch (t->kind) {
+          case rdf::TermKind::kIri: out->append("uri\",\"value\":\""); break;
+          case rdf::TermKind::kLiteral: out->append("literal\",\"value\":\""); break;
+          case rdf::TermKind::kBlank: out->append("bnode\",\"value\":\""); break;
+        }
+        AppendJsonEscaped(t->lexical, out);
+        out->push_back('"');
+        if (!t->datatype.empty()) {
+          out->append(",\"datatype\":\"");
+          AppendJsonEscaped(t->datatype, out);
+          out->push_back('"');
+        }
+        if (!t->lang.empty()) {
+          out->append(",\"xml:lang\":\"");
+          AppendJsonEscaped(t->lang, out);
+          out->push_back('"');
+        }
+        out->push_back('}');
       }
-      out += "\",\"value\":\"" + JsonEscape(t->lexical) + '"';
-      if (!t->datatype.empty())
-        out += ",\"datatype\":\"" + JsonEscape(t->datatype) + '"';
-      if (!t->lang.empty()) out += ",\"xml:lang\":\"" + JsonEscape(t->lang) + '"';
-      out += '}';
+      out->push_back('}');
     }
-    out += '}';
-    return out;
   }
 
   std::string Footer(StopCause cause) override {
@@ -66,7 +67,24 @@ class JsonEncoder final : public ResultEncoder {
     return out;
   }
 
+ protected:
+  std::string SetColumns(const std::vector<std::string>& vars) override {
+    // Each binding opens with `"<var>":{"type":"`; escape it once here.
+    prefix_.assign(vars.size(), "\"");
+    std::string out = "{\"head\":{\"vars\":[";
+    for (size_t i = 0; i < vars.size(); ++i) {
+      AppendJsonEscaped(vars[i], &prefix_[i]);
+      prefix_[i] += '"';
+      if (i) out += ',';
+      out += prefix_[i];
+      prefix_[i] += ":{\"type\":\"";
+    }
+    out += "]},\"results\":{\"bindings\":[\n";
+    return out;
+  }
+
  private:
+  std::vector<std::string> prefix_;
   bool first_ = true;
 };
 
@@ -74,7 +92,29 @@ class TsvEncoder final : public ResultEncoder {
  public:
   const char* content_type() const override { return "text/tab-separated-values"; }
 
-  std::string Header(const std::vector<std::string>& vars) override {
+  void AppendRows(const sparql::RowRange& rows, const rdf::Dictionary& dict,
+                  const sparql::LocalVocab* local, std::string* out) override {
+    const size_t width = std::min(rows.width, columns_);
+    for (size_t r = 0; r < rows.rows; ++r) {
+      const TermId* row = rows.row(r);
+      for (size_t i = 0; i < width; ++i) {
+        if (i) out->push_back('\t');
+        if (row[i] == kInvalidId) continue;  // unbound: empty field
+        if (const rdf::Term* t = sparql::ResolveTerm(dict, local, row[i]))
+          t->AppendNTriples(out);
+      }
+      out->push_back('\n');
+    }
+  }
+
+  std::string Footer(StopCause cause) override {
+    if (cause == StopCause::kNone) return {};
+    return std::string("# stopped: ") + sparql::ToString(cause) + '\n';
+  }
+
+ protected:
+  std::string SetColumns(const std::vector<std::string>& vars) override {
+    columns_ = vars.size();
     std::string out;
     for (size_t i = 0; i < vars.size(); ++i) {
       if (i) out += '\t';
@@ -84,48 +124,73 @@ class TsvEncoder final : public ResultEncoder {
     return out;
   }
 
-  std::string EncodeRow(const std::vector<std::string>& vars, const sparql::Row& row,
-                        const rdf::Dictionary& dict,
-                        const sparql::LocalVocab* local) override {
-    std::string out;
-    for (size_t i = 0; i < vars.size() && i < row.size(); ++i) {
-      if (i) out += '\t';
-      if (row[i] == kInvalidId) continue;  // unbound: empty field
-      const rdf::Term* t = sparql::ResolveTerm(dict, local, row[i]);
-      if (t) out += t->ToNTriples();
-    }
-    out += '\n';
-    return out;
-  }
-
-  std::string Footer(StopCause cause) override {
-    if (cause == StopCause::kNone) return {};
-    return std::string("# stopped: ") + sparql::ToString(cause) + '\n';
-  }
+ private:
+  size_t columns_ = 0;
 };
 
 }  // namespace
 
+std::string ResultEncoder::Header(const std::vector<std::string>& vars) {
+  columns_ = vars;
+  return SetColumns(vars);
+}
+
+std::string ResultEncoder::EncodeRow(const std::vector<std::string>& vars,
+                                     const sparql::Row& row, const rdf::Dictionary& dict,
+                                     const sparql::LocalVocab* local) {
+  if (vars != columns_) Header(vars);
+  row_.clear();
+  AppendRows(sparql::RowRange::Of(row), dict, local, &row_);
+  return row_;
+}
+
+namespace {
+
+/// True if any byte of `w` is below 0x20, '"' or '\\' — the bytes JSON
+/// strings must escape. Word-at-a-time (SWAR) tests, exact for presence.
+bool NeedsJsonEscape(uint64_t w) {
+  constexpr uint64_t kOnes = 0x0101010101010101ull;
+  constexpr uint64_t kHigh = 0x8080808080808080ull;
+  auto has_zero = [](uint64_t v) { return (v - kOnes) & ~v & kHigh; };
+  const uint64_t below_space = (w - kOnes * 0x20) & ~w & kHigh;
+  return below_space | has_zero(w ^ (kOnes * '"')) | has_zero(w ^ (kOnes * '\\'));
+}
+
+}  // namespace
+
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  size_t run = 0;  // start of the pending unescaped run
+  size_t i = 0;
+  // Skip clean 8-byte words whole; IRIs and most literals have no escapes.
+  for (uint64_t w; i + 8 <= s.size(); i += 8) {
+    std::memcpy(&w, s.data() + i, 8);
+    if (NeedsJsonEscape(w)) break;
+  }
+  for (; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default: {
+        char buf[8];
+        int n = std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out->append(buf, static_cast<size_t>(n));
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  AppendJsonEscaped(s, &out);
   return out;
 }
 

@@ -49,12 +49,19 @@ class ConnQueue {
   int Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     ++idle_;
+    parked_.notify_all();
     ready_.wait(lock, [this] { return closed_ || !fds_.empty(); });
     --idle_;
     if (fds_.empty()) return -1;
     int fd = fds_.front();
     fds_.pop_front();
     return fd;
+  }
+
+  /// Blocks until `n` workers are parked in Pop (or the queue closes).
+  void WaitParked(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    parked_.wait(lock, [&] { return closed_ || idle_ >= n; });
   }
 
   /// Closes the queue and returns any connections nobody will serve.
@@ -64,6 +71,7 @@ class ConnQueue {
     std::vector<int> rest(fds_.begin(), fds_.end());
     fds_.clear();
     ready_.notify_all();
+    parked_.notify_all();
     return rest;
   }
 
@@ -71,10 +79,17 @@ class ConnQueue {
   const size_t cap_;
   std::mutex mu_;
   std::condition_variable ready_;
+  std::condition_variable parked_;  ///< a worker parked in Pop
   std::deque<int> fds_;
   size_t idle_ = 0;  ///< workers parked in Pop, ready to take a connection
   bool closed_ = false;
 };
+
+// A chunk is sent once the encoded rows reach this size.
+constexpr size_t kChunkBytes = 32768;
+// A worker's result buffer is released after a response that grew it past
+// this (a large channel capacity means large blocks).
+constexpr size_t kMaxKeptBuffer = 1 << 20;
 
 uint64_t ParseU64(const std::string& s, uint64_t fallback) {
   if (s.empty()) return fallback;
@@ -140,6 +155,9 @@ struct SparqlServer::Impl {
   }
 
   void WorkerLoop() {
+    // Result bytes are encoded into this one buffer for every response the
+    // worker serves; it is flushed per chunk and its storage reused.
+    std::string out;
     for (;;) {
       int fd = queue.Pop();
       if (fd < 0) return;
@@ -147,7 +165,7 @@ struct SparqlServer::Impl {
         std::lock_guard<std::mutex> lock(conns_mu);
         live_conns.insert(fd);
       }
-      ServeConnection(fd);
+      ServeConnection(fd, &out);
       {
         std::lock_guard<std::mutex> lock(conns_mu);
         live_conns.erase(fd);
@@ -156,7 +174,7 @@ struct SparqlServer::Impl {
     }
   }
 
-  void ServeConnection(int fd) {
+  void ServeConnection(int fd, std::string* out) {
     std::string leftover;
     while (!stopping.load()) {
       HttpRequest req;
@@ -170,14 +188,14 @@ struct SparqlServer::Impl {
         return;
       }
       in_flight.fetch_add(1, std::memory_order_relaxed);
-      bool keep = Dispatch(fd, req);
+      bool keep = Dispatch(fd, req, out);
       in_flight.fetch_sub(1, std::memory_order_relaxed);
       if (!keep) return;
     }
   }
 
   /// Returns whether the connection survives for another request.
-  bool Dispatch(int fd, const HttpRequest& req) {
+  bool Dispatch(int fd, const HttpRequest& req, std::string* out) {
     bool keep_alive = req.header("connection") != "close";
     HttpResponseWriter w(fd);
     if (req.path == "/stats") {
@@ -257,10 +275,15 @@ struct SparqlServer::Impl {
       return w.WriteSimple(405, "text/plain", "use GET or POST\n", {}, keep_alive) &&
              keep_alive;
     }
-    return HandleQuery(&w, req, keep_alive) && keep_alive;
+    bool ok = HandleQuery(&w, req, keep_alive, out);
+    // One huge block (a large channel capacity) must not pin its buffer for
+    // the worker's lifetime.
+    if (out->capacity() > kMaxKeptBuffer) std::string().swap(*out);
+    return ok && keep_alive;
   }
 
-  bool HandleQuery(HttpResponseWriter* w, const HttpRequest& req, bool keep_alive) {
+  bool HandleQuery(HttpResponseWriter* w, const HttpRequest& req, bool keep_alive,
+                   std::string* out) {
     requests.fetch_add(1, std::memory_order_relaxed);
     std::string query = req.param("query");
     if (query.empty() &&
@@ -331,11 +354,11 @@ struct SparqlServer::Impl {
                             keep_alive);
     sparql::Cursor& cur = cursor.value();
 
-    // First Next before the status line commits: an early failure still
+    // First read before the status line commits: an early failure still
     // gets a real status code instead of a 200 that trails off.
-    sparql::Row row;
-    bool has_row = cur.Next(&row);
-    if (!has_row && !cur.status().ok()) {
+    sparql::RowRange rows;
+    bool has_rows = cur.NextBlock(&rows);
+    if (!has_rows && !cur.status().ok()) {
       int code = cur.stop_cause() == sparql::StopCause::kDeadline ? 408 : 500;
       return w->WriteSimple(code, "text/plain",
                             cur.status().message() + " (stop cause: " +
@@ -349,18 +372,25 @@ struct SparqlServer::Impl {
     std::shared_ptr<const sparql::LocalVocab> vocab = cur.local_vocab();
     const rdf::Dictionary& dict = snap ? snap->dict() : engine->dict();
 
-    std::string buf = enc->Header(vars);
-    // The first row flushes immediately (time-to-first-byte tracks the
-    // cursor, not the batch); after that, batch up to ~8KB per chunk.
-    bool first_flush = true;
-    while (has_row) {
-      buf += enc->EncodeRow(vars, row, dict, vocab.get());
-      if (first_flush || buf.size() >= 8192) {
-        first_flush = false;
-        if (!w->Chunk(buf)) return false;  // client gone: abandon the cursor
+    std::string& buf = *out;
+    buf.clear();
+    buf += enc->Header(vars);
+    if (has_rows) {
+      // The first row flushes on its own (time-to-first-byte tracks the
+      // cursor, not the block); after that, whole blocks are appended and
+      // sent once kChunkBytes have built up.
+      enc->AppendRows(rows.Sub(0, 1), dict, vocab.get(), &buf);
+      if (!w->Chunk(buf)) return false;  // client gone: abandon the cursor
+      buf.clear();
+      rows = rows.Sub(1, rows.rows - 1);
+    }
+    while (has_rows) {
+      enc->AppendRows(rows, dict, vocab.get(), &buf);
+      if (buf.size() >= kChunkBytes) {
+        if (!w->Chunk(buf)) return false;
         buf.clear();
       }
-      has_row = cur.Next(&row);
+      has_rows = cur.NextBlock(&rows);
     }
     sparql::StopCause cause = cur.stop_cause();
     buf += enc->Footer(cause);
@@ -453,6 +483,9 @@ util::Status SparqlServer::Start() {
   s.workers.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i)
     s.workers.emplace_back([this] { impl_->WorkerLoop(); });
+  // Admission counts parked workers, so accepting before they park would
+  // answer the first connections 503 on an idle server.
+  s.queue.WaitParked(static_cast<size_t>(workers));
   s.acceptor = std::thread([this] { impl_->AcceptLoop(); });
   s.started = true;
   return util::Status::Ok();

@@ -27,8 +27,11 @@
 // (pre-modifier row budget), `timeout-ms` / X-Timeout-Ms (deadline),
 // `capacity` / X-Channel-Capacity (streaming channel), `format` = json|tsv
 // (or Accept: text/tab-separated-values). Results stream with chunked
-// transfer encoding, one fragment per delivered row, so time-to-first-byte
-// tracks the cursor's first Next — not query completion.
+// transfer encoding: the worker reads the cursor a row block at a time,
+// appends each block's encoding to one reused buffer, and sends a chunk
+// (one write) whenever ~32KB has built up. The first row goes out alone in
+// the first chunk, with the header, so time-to-first-byte tracks the
+// cursor's first row — not query completion.
 //
 // Status mapping: the first Next runs BEFORE the status line is committed,
 // so early failures get real codes — 400 parse error (parser message in the
@@ -68,7 +71,7 @@ struct ServerConfig {
   /// Server-wide defaults, applied when a request names no tighter value.
   uint64_t default_timeout_ms = 0;  ///< 0 = no deadline
   uint64_t max_row_budget = sparql::kNoBudget;
-  uint32_t default_channel_capacity = 64;
+  uint32_t default_channel_capacity = 256;
 };
 
 struct ServerStats {

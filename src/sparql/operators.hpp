@@ -51,6 +51,7 @@
 
 #include "sparql/ast.hpp"
 #include "sparql/local_vocab.hpp"
+#include "sparql/row_block.hpp"
 #include "sparql/solver.hpp"
 #include "sparql/typed_value.hpp"
 #include "util/channel.hpp"
@@ -614,11 +615,20 @@ class CollectOp final : public RowOp {
   std::vector<Row>* out_;
 };
 
-/// Root sink for streaming cursors: hands each delivered row to the bounded
-/// delivery channel, blocking while the consumer lags. A channel closed by
-/// the consumer — the cursor was abandoned — reads as a plain kStop, the
-/// same unwind LIMIT pushdown uses, so teardown terminates the subgraph
-/// search itself rather than just the delivery.
+/// Root sink for streaming cursors: appends each delivered row to the
+/// producer's open RowBlock and hands whole blocks to the bounded delivery
+/// channel, blocking while the consumer lags. A block is handed over when it
+/// holds `block_rows` rows, or earlier when the consumer is parked waiting,
+/// and the first row is always handed over alone — so neither the first
+/// row nor any row the consumer is already waiting for is held back to
+/// fill a block. Flush() hands over what is left when the pipeline ends
+/// (however it ends: rows delivered before a failure remain valid). Emptied
+/// blocks come back through the channel, so the steady state allocates
+/// nothing.
+///
+/// A channel closed by the consumer — the cursor was abandoned — reads as a
+/// plain kStop, the same unwind LIMIT pushdown uses, so teardown terminates
+/// the subgraph search itself rather than just the delivery.
 ///
 /// The wait flavour depends on the execution's abort sources: a cancel token
 /// or deadline has no condvar hookup, so its presence forces the channel's
@@ -627,41 +637,61 @@ class CollectOp final : public RowOp {
 /// untimed wait — abandonment is always paired with CloseConsumer, which
 /// wakes it — so an abort-free stream never takes a spurious timed wakeup.
 ///
-/// `on_deliver` (optional) runs on the producer thread once per row, just
-/// before the row is handed to the channel — the cursor's hook for
+/// `on_deliver` (optional) runs on the producer thread once per block, just
+/// before the block is handed to the channel — the cursor's hook for
 /// publishing a consistent mid-stream EXPLAIN snapshot.
 class ChannelSink final : public RowOp {
  public:
-  ChannelSink(util::Channel<Row>* channel, std::function<void()> on_deliver,
-              ExecState* state)
-      : RowOp("ChannelSink{cap=" + std::to_string(channel->capacity()) + "}",
+  ChannelSink(util::Channel<RowBlock>* channel, size_t block_rows,
+              std::function<void()> on_deliver, ExecState* state)
+      : RowOp("ChannelSink{cap=" +
+                  std::to_string(channel->capacity() + block_rows - 1) +
+                  " block=" + std::to_string(block_rows) + "}",
               nullptr, state),
         channel_(channel),
+        block_rows_(block_rows),
         on_deliver_(std::move(on_deliver)) {}
 
   EmitResult DoPush(const Row& row) override {
-    // Snapshot before the push: once the consumer has popped row k, the
-    // published snapshot is guaranteed to cover at least k delivered rows.
+    open_.Append(row);
+    // The first row always goes out on its own: the consumer may not have
+    // parked yet, and time-to-first-row must not wait for a second row.
+    if (open_.size() < block_rows_ && rows_in() > 1 && !channel_->consumer_waiting())
+      return EmitResult::kContinue;
+    return Hand();
+  }
+
+  /// Hands over the open block, if it holds any rows.
+  void Flush() {
+    if (!open_.empty()) Hand();
+  }
+
+ private:
+  EmitResult Hand() {
     if (on_deliver_) on_deliver_();
     const EvalControl& c = state()->control;
     const bool needs_probe = c.cancel != nullptr || c.has_deadline();
-    auto op = needs_probe
-                  ? channel_->Push(row,
-                                   [&c] {
-                                     return c.abandoned() || c.cancelled() ||
-                                            c.expired();
-                                   })
-                  : channel_->Push(row);
-    if (op == util::Channel<Row>::Op::kOk) return EmitResult::kContinue;
-    if (op == util::Channel<Row>::Op::kAborted)
+    const size_t rows = open_.size();
+    auto op = needs_probe ? channel_->Push(&open_, rows,
+                                           [&c] {
+                                             return c.abandoned() || c.cancelled() ||
+                                                    c.expired();
+                                           })
+                          : channel_->Push(&open_, rows);
+    if (op == util::Channel<RowBlock>::Op::kOk) {
+      open_.Clear();  // a recycled block (or a fresh one) took its place
+      return EmitResult::kContinue;
+    }
+    if (op == util::Channel<RowBlock>::Op::kAborted)
       state()->Fail(state()->control.Check(),
                     CauseOf(state()->control, StopCause::kProducerFailed));
     return EmitResult::kStop;
   }
 
- private:
-  util::Channel<Row>* channel_;
+  util::Channel<RowBlock>* channel_;
+  const size_t block_rows_;
   std::function<void()> on_deliver_;
+  RowBlock open_;  ///< rows not yet handed over
 };
 
 }  // namespace turbo::sparql

@@ -88,6 +88,12 @@ bool FilterCoveredByBgp(const FilterExpr& f, const GroupPattern& g) {
   return !fv.empty();
 }
 
+/// Rows per delivery block for a channel of `capacity` rows: a quarter of
+/// it, so up to four blocks circulate (the producer's open block, queued
+/// ones, the one the consumer reads) and both threads keep working while a
+/// block changes hands.
+size_t BlockRows(size_t capacity) { return std::max<size_t>(1, capacity / 4); }
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -292,14 +298,20 @@ struct Cursor::State {
   std::unique_ptr<FilterEvaluator> post_eval;  ///< over post_vars + local
 
   // Streaming delivery (ExecOptions::streaming): the pipeline runs on
-  // `producer`, whose ChannelSink root pushes delivered rows into the
-  // bounded `channel`; Next() pops at the consumer's pace. `abandoned` is
+  // `producer`, whose ChannelSink root hands delivered rows in RowBlocks to
+  // the bounded `channel`; the consumer pops one block at a time into
+  // `block` and reads it from `block_pos` without further locking (the
+  // popped block goes back to the producer at the next pop). `abandoned` is
   // wired into the pipeline's EvalControl (and down into MatchOptions), so
   // setting it unwinds the enumeration like a cancel — teardown stops the
   // search itself, not just the delivery. The plain (non-atomic) members
   // above are written by the producer only before it signals completion and
   // read by the consumer only after joining it, so they need no locking.
-  std::unique_ptr<util::Channel<Row>> channel;
+  std::unique_ptr<util::Channel<RowBlock>> channel;
+  size_t block_rows = 0;        ///< rows per delivery block
+  ChannelSink* sink = nullptr;  ///< the pipeline root; flushed at producer exit
+  RowBlock block;               ///< consumer-side: the block being read
+  size_t block_pos = 0;         ///< consumer-side: next unread row of `block`
   std::thread producer;
   std::atomic<bool> abandoned{false};
   std::atomic<bool> producer_done{false};
@@ -307,7 +319,7 @@ struct Cursor::State {
 
   // Mid-stream EXPLAIN snapshot: the producer publishes a copy of every
   // operator's (rows_in, rows_out) pair — in pipe.ops order — under
-  // explain_mu just before each row is handed to the delivery channel.
+  // explain_mu just before each block is handed to the delivery channel.
   // Publishing happens strictly after the operator tree is built, so a
   // consumer that observes a non-empty snapshot under the same mutex may
   // also walk the (by then immutable) tree structure.
@@ -315,8 +327,12 @@ struct Cursor::State {
   std::vector<std::pair<uint64_t, uint64_t>> explain_snapshot;
 
   ~State();
+  void Start();           // first use: Run() or StartStreaming()
   void Run();             // materialized execution (sink = CollectOp)
   void StartStreaming();  // create the channel, spawn the producer
+  /// Consumer-side: pops the next block into `block`. False at the end of
+  /// the stream (or on the consumer's own cancel/deadline), after Settle.
+  bool NextStreamBlock();
   void ProducerMain();
   void PublishExplainSnapshot();
   void RunPipeline(bool streaming);
@@ -413,9 +429,24 @@ void Cursor::State::Run() {
   peak_buffered = st.peak_buffered;
 }
 
+void Cursor::State::Start() {
+  if (ran) return;
+  if (opts.streaming)
+    StartStreaming();
+  else
+    Run();
+}
+
 void Cursor::State::StartStreaming() {
   ran = true;
-  channel = std::make_unique<util::Channel<Row>>(opts.channel_capacity);
+  // The channel counts rows in handed-over blocks; the producer's open
+  // block holds up to block_rows more. Sizing the channel at capacity -
+  // block_rows + 1 keeps the stream's rows in flight at capacity + 1 — the
+  // same bound as a per-row channel of `capacity` plus the one row in the
+  // sink's hand — and the channel's own peak at or below capacity.
+  const size_t capacity = std::max<uint32_t>(1, opts.channel_capacity);
+  block_rows = BlockRows(capacity);
+  channel = std::make_unique<util::Channel<RowBlock>>(capacity - block_rows + 1);
   // Streaming executions intern computed terms on the producer while the
   // consumer resolves already-delivered rows, so the shared vocab must
   // exist before the thread starts (LocalVocab itself synchronizes the
@@ -439,15 +470,23 @@ void Cursor::State::ProducerMain() {
   // The library reports failures through Status, but a producer thread must
   // not let anything escape — an exception here would terminate the
   // process. It becomes a kProducerFailed status with the original message.
-  try {
-    RunPipeline(/*streaming=*/true);
-  } catch (const std::exception& e) {
-    pipe.state.Fail(util::Status::Error(std::string("producer failed: ") + e.what()),
-                    StopCause::kProducerFailed);
-  } catch (...) {
-    pipe.state.Fail(util::Status::Error("producer failed: unknown exception"),
-                    StopCause::kProducerFailed);
-  }
+  auto guarded = [this](auto&& step) {
+    try {
+      step();
+    } catch (const std::exception& e) {
+      pipe.state.Fail(util::Status::Error(std::string("producer failed: ") + e.what()),
+                      StopCause::kProducerFailed);
+    } catch (...) {
+      pipe.state.Fail(util::Status::Error("producer failed: unknown exception"),
+                      StopCause::kProducerFailed);
+    }
+  };
+  guarded([this] { RunPipeline(/*streaming=*/true); });
+  // Rows appended before the pipeline ended — including before a failure —
+  // are delivered, as they were when every row was handed over singly.
+  guarded([this] {
+    if (sink) sink->Flush();
+  });
   producer_done.store(true, std::memory_order_release);
   channel->CloseProducer();
 }
@@ -507,11 +546,14 @@ void Cursor::State::RunPipeline(bool streaming) {
         std::make_unique<FilterEvaluator>(dict, p.post_vars, local_vocab.get());
 
   // ---- Build the modifier chain, back to front. ----
-  RowOp* cur =
-      streaming
-          ? static_cast<RowOp*>(pipe.Make<ChannelSink>(
-                channel.get(), [this] { PublishExplainSnapshot(); }, st))
-          : static_cast<RowOp*>(pipe.Make<CollectOp>(&rows, st));
+  RowOp* cur = nullptr;
+  if (streaming) {
+    sink = pipe.Make<ChannelSink>(channel.get(), block_rows,
+                                  [this] { PublishExplainSnapshot(); }, st);
+    cur = sink;
+  } else {
+    cur = pipe.Make<CollectOp>(&rows, st);
+  }
   cur = pipe.Make<SliceOp>(static_cast<uint64_t>(q.offset), limit, cur, st);
 
   if (!q.order_by.empty()) {
@@ -631,42 +673,61 @@ void Cursor::State::RunPipeline(bool streaming) {
   }
 }
 
+bool Cursor::State::NextStreamBlock() {
+  if (stream_ended) return false;
+  // The consumer observes its own cancel/deadline while blocked on an
+  // empty channel — the producer may be wedged deep in a pipeline breaker
+  // where no row will ever arrive to wake us. Without either abort source
+  // the wait is plain and untimed: every event that can end it (a block
+  // arriving, the producer closing) notifies the channel's condvar.
+  EvalControl consumer;
+  consumer.cancel = opts.cancel_token;
+  consumer.deadline = opts.deadline;
+  const bool needs_probe = consumer.cancel != nullptr || consumer.has_deadline();
+  auto op = needs_probe ? channel->Pop(&block,
+                                       [&consumer] {
+                                         return consumer.cancelled() || consumer.expired();
+                                       })
+                        : channel->Pop(&block);
+  block_pos = 0;
+  if (op == util::Channel<RowBlock>::Op::kOk) return true;
+  block.Clear();
+  if (op == util::Channel<RowBlock>::Op::kAborted)
+    Settle(consumer.Check(), CauseOf(consumer, StopCause::kCancelled));
+  else
+    Settle(util::Status::Ok(), StopCause::kNone);
+  return false;
+}
+
 bool Cursor::Next(Row* row) {
   if (!state_) return false;
   State& s = *state_;
-  if (!s.ran) {
-    if (s.opts.streaming)
-      s.StartStreaming();
-    else
-      s.Run();
-  }
+  s.Start();
   if (s.opts.streaming) {
-    if (s.stream_ended) return false;
-    // The consumer observes its own cancel/deadline while blocked on an
-    // empty channel — the producer may be wedged deep in a pipeline breaker
-    // where no row will ever arrive to wake us. Without either abort source
-    // the wait is plain and untimed: every event that can end it (a row
-    // arriving, the producer closing) notifies the channel's condvar.
-    EvalControl consumer;
-    consumer.cancel = s.opts.cancel_token;
-    consumer.deadline = s.opts.deadline;
-    const bool needs_probe = consumer.cancel != nullptr || consumer.has_deadline();
-    auto op = needs_probe
-                  ? s.channel->Pop(row, [&consumer] {
-                      return consumer.cancelled() || consumer.expired();
-                    })
-                  : s.channel->Pop(row);
-    if (op == util::Channel<Row>::Op::kOk) return true;
-    if (op == util::Channel<Row>::Op::kAborted)
-      s.Settle(consumer.Check(), CauseOf(consumer, StopCause::kCancelled));
-    else
-      s.Settle(util::Status::Ok(), StopCause::kNone);
-    return false;
+    if (s.block_pos == s.block.size() && !s.NextStreamBlock()) return false;
+    const TermId* cells = s.block.row(s.block_pos++);
+    row->assign(cells, cells + s.block.width());
+    return true;
   }
   if (s.pos >= s.rows.size()) return false;
   // The read position only advances, so hand the buffered row over instead
   // of copying it — delivery-bound queries pay one allocation per row less.
   *row = std::move(s.rows[s.pos++]);
+  return true;
+}
+
+bool Cursor::NextBlock(RowRange* rows) {
+  if (!state_) return false;
+  State& s = *state_;
+  s.Start();
+  if (s.opts.streaming) {
+    if (s.block_pos == s.block.size() && !s.NextStreamBlock()) return false;
+    *rows = s.block.Tail(s.block_pos);
+    s.block_pos = s.block.size();
+    return true;
+  }
+  if (s.pos >= s.rows.size()) return false;
+  *rows = RowRange::Of(s.rows[s.pos++]);
   return true;
 }
 
@@ -703,16 +764,12 @@ std::shared_ptr<const LocalVocab> Cursor::local_vocab() const {
 std::string Cursor::Explain() {
   if (!state_) return "(no query)\n";
   State& s = *state_;
-  if (!s.ran) {
-    if (s.opts.streaming)
-      s.StartStreaming();
-    else
-      s.Run();
-  }
+  s.Start();
   // A still-running streaming producer is mutating the per-operator counts,
   // so never render the live tree mid-stream. Instead render the snapshot
   // the producer publishes at every delivery boundary: a mutually consistent
-  // copy of all counters taken just before a row was handed to the channel.
+  // copy of all counters taken just before a block was handed to the
+  // channel, so it covers every row the consumer can have seen.
   // producer_done is a release store after the pipeline's last write, so
   // once observed the live tree is stable even before Settle runs.
   if (s.opts.streaming && !s.producer_done.load(std::memory_order_acquire)) {
@@ -724,7 +781,7 @@ std::string Cursor::Explain() {
     ExplainCounts counts;
     for (size_t i = 0; i < s.pipe.ops.size() && i < s.explain_snapshot.size(); ++i)
       counts[s.pipe.ops[i].get()] = s.explain_snapshot[i];
-    return "(streaming snapshot at last delivered row; counts still advancing)\n" +
+    return "(streaming snapshot at last delivered block; counts still advancing)\n" +
            ExplainChain(s.pipe.head, &counts);
   }
   if (!s.pipe.head) return "(not executed: empty LIMIT or pre-run stop)\n";

@@ -45,6 +45,7 @@
 #include "rdf/dataset.hpp"
 #include "sparql/ast.hpp"
 #include "sparql/local_vocab.hpp"
+#include "sparql/row_block.hpp"
 #include "sparql/solver.hpp"
 #include "util/status.hpp"
 
@@ -78,15 +79,18 @@ struct ExecOptions {
   /// stop execution with status "query cancelled".
   const std::atomic<bool>* cancel_token = nullptr;
   /// Run the operator pipeline on a producer thread that hands rows to the
-  /// consumer through a bounded channel: Next() returns as soon as one row
-  /// exists, the execution holds at most `channel_capacity` delivered rows
-  /// in flight (plus any sort/group operator buffers), and destroying the
-  /// cursor tears the enumeration down. When false (the default) the cursor
-  /// materializes the delivered set on first use, exactly as before.
+  /// consumer in blocks through a bounded channel: Next() returns as soon as
+  /// one row exists (a block is handed over early whenever the consumer is
+  /// waiting), the channel itself holds at most `channel_capacity` delivered
+  /// rows and, with the producer's open block, at most one more (plus any
+  /// sort/group operator buffers), and destroying the cursor tears the
+  /// enumeration down. When false (the default) the cursor materializes
+  /// the delivered set on first use, exactly as before.
   bool streaming = false;
   /// Delivery-channel capacity (rows in flight) for streaming mode; a full
-  /// channel blocks the producer (backpressure). Clamped to >= 1.
-  uint32_t channel_capacity = 64;
+  /// channel blocks the producer (backpressure). Clamped to >= 1. Rows move
+  /// in blocks of a quarter of it (at least one row).
+  uint32_t channel_capacity = 256;
   /// Pre-built per-execution vocab (computed/overlay terms). The live store
   /// passes a vocab chained to its shared term overlay so row cells carrying
   /// update-introduced ids resolve, and VALUES/BIND constants join against
@@ -137,8 +141,9 @@ util::Result<PreparedQuery> PrepareSelect(SelectQuery q);
 /// In materialized mode (the default) the cursor runs the row pipeline on
 /// first use and retains only the rows the modifiers let through (bounded
 /// by LIMIT/limit_budget when present). With ExecOptions::streaming the
-/// pipeline runs on a producer thread feeding a bounded channel; Next()
-/// pops at the consumer's pace, and teardown is clean: the destructor
+/// pipeline runs on a producer thread feeding a bounded channel of row
+/// blocks; Next() serves rows from the current block and pops the next one
+/// at the consumer's pace, and teardown is clean: the destructor
 /// signals the producer, drains the channel, and joins the thread, so
 /// abandoning a cursor mid-stream terminates the subgraph search itself.
 /// The cursor must not outlive the solver/engine it was opened on.
@@ -152,6 +157,14 @@ class Cursor {
   /// cancel/deadline fires (the waits are timeout-aware on both channel
   /// ends).
   bool Next(Row* row);
+
+  /// Block-level read: points `*rows` at every delivered row not yet read
+  /// (at least one) and advances past them. A streaming cursor returns the
+  /// rest of the block it is reading; a materialized one returns one row.
+  /// The rows stay valid until the next Next/NextBlock call. Returns false
+  /// where Next would. Next and NextBlock may be mixed; rows arrive in the
+  /// same order either way.
+  bool NextBlock(RowRange* rows);
 
   /// How the stream ended so far; Ok while rows are still flowing.
   /// Producer-side errors (solver failures, exceptions on the producer
@@ -201,7 +214,7 @@ class Cursor {
   /// if it has not run yet. While a streaming producer is still running,
   /// this renders the stable snapshot the producer publishes at every
   /// delivery boundary — a mutually consistent copy of all counters as of
-  /// the last row handed to the delivery channel (prefixed with a note that
+  /// the last block handed to the delivery channel (prefixed with a note that
   /// counts are still advancing) — and the final counts once the stream
   /// ends or the producer has finished.
   std::string Explain();

@@ -1,22 +1,37 @@
-// Bounded MPSC channel for producer/consumer row delivery.
+// Bounded MPSC channel for producer/consumer delivery of row blocks.
 //
 // The streaming cursor runs the operator pipeline on a producer thread and
-// pops delivered rows at the consumer's pace; this channel is the handoff.
+// hands whole row blocks to the consumer; this channel is the handoff. Each
+// item carries a weight in units (rows, for the cursor), and the capacity is
+// counted in units, not items: an item counts from its Push until the
+// consumer's next Pop (or CloseConsumer), so the block the consumer is still
+// reading holds its rows against the capacity just like the queued ones.
+//
+// Items are recycled instead of reallocated: Pop hands the consumer's
+// previous item back to the channel, and Push returns one of those recycled
+// items to the producer in place of the item it handed over. A block-reusing
+// pair of ends therefore allocates nothing in the steady state.
+//
 // Both ends block on condition variables. A caller that has an abort source
 // the channel cannot see (a cancel token or a deadline — nothing ever
 // notifies the condvar for those) passes an abort predicate, and the wait is
 // sliced so the predicate is polled even while the producer is parked on a
 // full channel or the consumer on an empty one. A caller with no such
 // source uses the predicate-free overloads, which block in a plain
-// untimed wait: every event that can end the wait (an item arriving, either
-// end closing) notifies the condvar, so timed polling would be pure wasted
-// wakeups. timed_wait_slices() counts the sliced waits so tests can assert
-// the abort-free path never spuriously wakes.
+// untimed wait: every event that can end the wait (an item arriving, units
+// being released, either end closing) notifies the condvar, so timed
+// polling would be pure wasted wakeups. timed_wait_slices() counts the
+// sliced waits so tests can assert the abort-free path never spuriously
+// wakes.
+//
+// consumer_waiting() lets a batching producer hand over a partial item the
+// moment the consumer is parked on an empty channel, so batching never
+// delays a row the consumer is already waiting for.
 //
 // Protocol:
 //   - producer: Push(...) until done or aborted, then CloseProducer().
 //   - consumer: Pop(...) until kClosed, or CloseConsumer() to walk away —
-//     that drops any buffered rows and turns every subsequent Push into
+//     that drops any buffered items and turns every subsequent Push into
 //     kClosed, which the pipeline treats like a LIMIT-style kStop.
 //     CloseConsumer also wakes a producer blocked in an untimed Push, which
 //     is why cursor abandonment needs no timed probe.
@@ -26,13 +41,14 @@
 // not rely on that); there must be at most one consumer.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 namespace turbo::util {
 
@@ -50,47 +66,62 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Blocks while the channel is full. `abort()` is polled every wait slice;
-  /// returning true abandons the push. The item is consumed only on kOk.
+  /// Blocks until `units` more fit. `abort()` is polled every wait slice;
+  /// returning true abandons the push. On kOk `*item` has been handed over
+  /// and replaced by a recycled item (or a default-constructed one); on any
+  /// other result it is left untouched.
   template <typename AbortFn>
-  Op Push(T item, AbortFn&& abort) {
+  Op Push(T* item, size_t units, AbortFn&& abort) {
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
       if (consumer_closed_) return Op::kClosed;
-      if (items_.size() < cap_) break;
+      if (Fits(units)) break;
       if (abort()) return Op::kAborted;
       ++timed_wait_slices_;
       not_full_.wait_for(lock, kWaitSlice);
     }
-    DoPush(std::move(item), &lock);
+    DoPush(item, units, &lock);
     return Op::kOk;
   }
 
-  /// Abort-free push: blocks untimed while the channel is full. Only a
-  /// consumer event can end the wait (space freed by Pop, or CloseConsumer),
-  /// and both notify — no polling, no spurious timed wakeups.
-  Op Push(T item) {
+  /// Abort-free push: blocks untimed while the units do not fit. Only a
+  /// consumer event can end the wait (units released by Pop, or
+  /// CloseConsumer), and both notify — no polling, no spurious timed
+  /// wakeups.
+  Op Push(T* item, size_t units) {
     std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [this] { return consumer_closed_ || items_.size() < cap_; });
+    not_full_.wait(lock, [&] { return consumer_closed_ || Fits(units); });
     if (consumer_closed_) return Op::kClosed;
-    DoPush(std::move(item), &lock);
+    DoPush(item, units, &lock);
     return Op::kOk;
   }
 
-  /// Blocks while the channel is empty and the producer side is still open.
-  /// kClosed means end-of-stream: every pushed item has been popped.
+  /// One-unit convenience pushes for callers that do not recycle.
+  template <typename AbortFn>
+  Op Push(T item, AbortFn&& abort) {
+    return Push(&item, 1, std::forward<AbortFn>(abort));
+  }
+  Op Push(T item) { return Push(&item, 1); }
+
+  /// Releases the consumer's previous item (its units free up, and the item
+  /// itself — whatever `*out` holds after a successful Pop — is kept for
+  /// recycling), then blocks while the channel is empty and the producer
+  /// side is still open. kClosed means end-of-stream: every pushed item has
+  /// been popped.
   template <typename AbortFn>
   Op Pop(T* out, AbortFn&& abort) {
     std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      if (!items_.empty()) break;
-      if (producer_closed_) return Op::kClosed;
-      if (abort()) return Op::kAborted;
+    Release(out);
+    while (count_ == 0) {
+      if (producer_closed_ || abort()) {
+        waiting_.store(false, std::memory_order_relaxed);
+        return producer_closed_ ? Op::kClosed : Op::kAborted;
+      }
       ++timed_wait_slices_;
+      waiting_.store(true, std::memory_order_relaxed);
       not_empty_.wait_for(lock, kWaitSlice);
     }
-    DoPop(out, &lock);
+    DoPop(out);
     return Op::kOk;
   }
 
@@ -98,11 +129,20 @@ class Channel {
   /// closes — both producer events notify, so no timed polling is needed.
   Op Pop(T* out) {
     std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return producer_closed_ || !items_.empty(); });
-    if (items_.empty()) return Op::kClosed;
-    DoPop(out, &lock);
+    Release(out);
+    if (count_ == 0 && !producer_closed_) {
+      waiting_.store(true, std::memory_order_relaxed);
+      not_empty_.wait(lock, [this] { return producer_closed_ || count_ != 0; });
+      waiting_.store(false, std::memory_order_relaxed);
+    }
+    if (count_ == 0) return Op::kClosed;
+    DoPop(out);
     return Op::kOk;
   }
+
+  /// True while the consumer is parked on an empty channel. A relaxed read
+  /// with no lock: a stale answer only moves a partial handoff by one item.
+  bool consumer_waiting() const { return waiting_.load(std::memory_order_relaxed); }
 
   /// End of stream: the consumer drains what is buffered, then sees kClosed.
   void CloseProducer() {
@@ -113,20 +153,28 @@ class Channel {
     not_empty_.notify_all();
   }
 
-  /// Consumer walks away: buffered rows are dropped and blocked producers
+  /// Consumer walks away: buffered items are dropped and blocked producers
   /// wake with kClosed. Pairs with the cursor's teardown path.
   void CloseConsumer() {
+    std::vector<Slot> dropped;
+    std::vector<T> recycled;
     {
       std::lock_guard<std::mutex> lock(mu_);
       consumer_closed_ = true;
-      items_.clear();
+      ring_.swap(dropped);
+      free_.swap(recycled);
+      head_ = count_ = 0;
+      units_ = 0;
+      held_ = false;
     }
     not_full_.notify_all();
   }
 
+  /// Capacity in units.
   size_t capacity() const { return cap_; }
 
-  /// High-water mark of buffered items, for peak_buffered_rows() accounting.
+  /// High-water mark of units in flight, for peak_buffered_rows()
+  /// accounting.
   uint64_t peak_size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return peak_;
@@ -139,39 +187,93 @@ class Channel {
     return timed_wait_slices_;
   }
 
+  /// Units in flight: queued items plus the consumer's current one.
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
+    return units_;
   }
 
  private:
+  struct Slot {
+    T item{};
+    size_t units = 0;
+  };
+
   // Short enough that deadlines are observed promptly, long enough that an
   // idle blocked end costs nothing measurable.
   static constexpr std::chrono::milliseconds kWaitSlice{2};
+  // Recycled items kept for the producer. A block channel circulates a few
+  // blocks (the producer's, the queued ones, the consumer's); extras beyond
+  // this are freed rather than hoarded.
+  static constexpr size_t kMaxRecycled = 8;
 
-  void DoPush(T item, std::unique_lock<std::mutex>* lock) {
-    items_.push_back(std::move(item));
-    if (items_.size() > peak_) peak_ = items_.size();
+  /// An oversized item still moves through an otherwise empty channel.
+  bool Fits(size_t units) const { return units_ == 0 || units_ + units <= cap_; }
+
+  void DoPush(T* item, size_t units, std::unique_lock<std::mutex>* lock) {
+    if (count_ == ring_.size()) Grow();
+    Slot& s = ring_[(head_ + count_) % ring_.size()];
+    s.item = std::move(*item);
+    s.units = units;
+    ++count_;
+    units_ += units;
+    if (units_ > peak_) peak_ = units_;
+    waiting_.store(false, std::memory_order_relaxed);
+    if (free_.empty()) {
+      *item = T{};
+    } else {
+      *item = std::move(free_.back());
+      free_.pop_back();
+    }
     lock->unlock();
     not_empty_.notify_one();
   }
 
-  void DoPop(T* out, std::unique_lock<std::mutex>* lock) {
-    *out = std::move(items_.front());
-    items_.pop_front();
-    lock->unlock();
+  /// Frees the units of the item the consumer holds and keeps the item for
+  /// recycling. Called with the lock held.
+  void Release(T* out) {
+    if (!held_) return;
+    held_ = false;
+    units_ -= held_units_;
+    if (free_.size() < kMaxRecycled) free_.push_back(std::move(*out));
     not_full_.notify_one();
+  }
+
+  void DoPop(T* out) {
+    Slot& s = ring_[head_];
+    *out = std::move(s.item);
+    held_units_ = s.units;
+    held_ = true;
+    head_ = (head_ + 1) % ring_.size();
+    --count_;
+  }
+
+  /// Doubles the ring, keeping FIFO order. Only while the queue deepens
+  /// past anything seen before; the steady state never grows.
+  void Grow() {
+    std::vector<Slot> bigger(ring_.empty() ? 4 : ring_.size() * 2);
+    for (size_t i = 0; i < count_; ++i)
+      bigger[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+    ring_.swap(bigger);
+    head_ = 0;
   }
 
   const size_t cap_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::deque<T> items_;
+  std::vector<Slot> ring_;  ///< FIFO ring: count_ items from head_
+  size_t head_ = 0;
+  size_t count_ = 0;
+  std::vector<T> free_;     ///< recycled items for the producer
+  size_t units_ = 0;        ///< queued units + held_units_ while held_
+  size_t held_units_ = 0;   ///< units of the item the consumer holds
+  bool held_ = false;       ///< the consumer holds a popped item
   uint64_t peak_ = 0;
   uint64_t timed_wait_slices_ = 0;
   bool producer_closed_ = false;
   bool consumer_closed_ = false;
+  std::atomic<bool> waiting_{false};
 };
 
 }  // namespace turbo::util

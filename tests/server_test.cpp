@@ -13,6 +13,8 @@
 //    engine, every response row-identical to the materialized reference.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 
 #include "server/http.hpp"
 #include "server/result_encoder.hpp"
+#include "sparql/row_block.hpp"
 #include "server/sparql_server.hpp"
 #include "sparql/executor.hpp"
 #include "sparql/query_engine.hpp"
@@ -39,6 +42,35 @@ namespace {
 using sparql::QueryEngine;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
+
+// Every wait in this suite has a deadline, so a server regression fails a
+// test instead of hanging the run.
+constexpr std::chrono::seconds kDeadline{30};
+
+/// DialLocal with send/receive timeouts: a read that would block past the
+/// deadline fails.
+int TimedDial(uint16_t port) {
+  int fd = DialLocal(port);
+  if (fd >= 0) {
+    timeval tv{static_cast<time_t>(kDeadline.count()), 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+  }
+  return fd;
+}
+
+/// HttpGet over a TimedDial connection.
+util::Status TimedGet(uint16_t port, const std::string& target, HttpResponse* resp) {
+  int fd = TimedDial(port);
+  if (fd < 0) return util::Status::Error("connect failed");
+  util::Status st = WriteHttpRequest(fd, "GET", target);
+  if (st.ok()) {
+    std::string leftover;
+    st = ReadHttpResponse(fd, resp, &leftover);
+  }
+  ::close(fd);
+  return st;
+}
 
 const char* const kProfessorQuery =
     "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "
@@ -80,7 +112,7 @@ class ServerProtocolTest : public ::testing::Test {
 
   static HttpResponse Get(const std::string& target) {
     HttpResponse resp;
-    auto st = HttpGet(server_->port(), target, &resp);
+    auto st = TimedGet(server_->port(), target, &resp);
     EXPECT_TRUE(st.ok()) << st.message();
     return resp;
   }
@@ -124,7 +156,7 @@ TEST_F(ServerProtocolTest, JsonBodyMatchesMaterializedReference) {
 }
 
 TEST_F(ServerProtocolTest, PostFormAndRawBodyBothWork) {
-  int fd = DialLocal(server_->port());
+  int fd = TimedDial(server_->port());
   ASSERT_GE(fd, 0);
   std::string leftover;
   HttpResponse resp;
@@ -176,7 +208,7 @@ TEST_F(ServerProtocolTest, MalformedQueryGets400WithParseError) {
 TEST_F(ServerProtocolTest, UnknownPathAndMethod) {
   HttpResponse resp = Get("/nope");
   EXPECT_EQ(resp.status, 404);
-  int fd = DialLocal(server_->port());
+  int fd = TimedDial(server_->port());
   ASSERT_GE(fd, 0);
   std::string leftover;
   ASSERT_TRUE(WriteHttpRequest(fd, "DELETE", "/sparql").ok());
@@ -190,6 +222,173 @@ TEST_F(ServerProtocolTest, StatsEndpointCounts) {
   EXPECT_EQ(resp.status, 200);
   EXPECT_NE(resp.body.find("\"plan_cache\""), std::string::npos);
   EXPECT_NE(resp.body.find("\"requests\""), std::string::npos);
+}
+
+/// Sends `target` with Connection: close and returns the raw response bytes
+/// (status line, headers, chunk framing and all) up to the peer's close.
+std::string RawGet(uint16_t port, const std::string& target) {
+  int fd = TimedDial(port);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return {};
+  EXPECT_TRUE(WriteHttpRequest(fd, "GET", target, {{"Connection", "close"}}).ok());
+  std::string raw;
+  char buf[65536];
+  for (;;) {
+    ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;  // close, or the receive deadline
+    raw.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return raw;
+}
+
+/// Splits a raw chunked response into its chunk payloads (trailers dropped).
+std::vector<std::string> Chunks(const std::string& raw) {
+  std::vector<std::string> out;
+  size_t at = raw.find("\r\n\r\n");
+  if (at == std::string::npos) return out;
+  at += 4;
+  for (;;) {
+    size_t eol = raw.find("\r\n", at);
+    if (eol == std::string::npos) break;
+    size_t size = std::stoul(raw.substr(at, eol - at), nullptr, 16);
+    if (size == 0) break;
+    out.push_back(raw.substr(eol + 2, size));
+    at = eol + 2 + size + 2;
+  }
+  return out;
+}
+
+TEST_F(ServerProtocolTest, StreamedChunksDeChunkToTheMaterializedBody) {
+  const std::string q =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "
+      "SELECT ?x ?c WHERE { ?x ub:takesCourse ?c . }";
+  for (const char* format : {"json", "tsv"}) {
+    const std::string base = std::string("/sparql?format=") + format + "&query=" + UrlEncode(q);
+    std::vector<std::string> streamed = Chunks(RawGet(server_->port(), base));
+    std::vector<std::string> whole = Chunks(RawGet(server_->port(), base + "&stream=0"));
+    ASSERT_GT(streamed.size(), 2u) << format;  // header+row, blocks..., footer
+    std::string streamed_body, whole_body;
+    for (const std::string& c : streamed) streamed_body += c;
+    for (const std::string& c : whole) whole_body += c;
+    EXPECT_EQ(streamed_body, whole_body) << format;
+    EXPECT_EQ(streamed_body, Reference(q, format)) << format;
+
+    // The first chunk is the header plus exactly the first row.
+    sparql::Executor ex(&engine_->solver());
+    auto rs = ex.Execute(q);
+    ASSERT_TRUE(rs.ok());
+    ASSERT_FALSE(rs.value().rows.empty());
+    auto enc = MakeResultEncoder(format);
+    std::string first = enc->Header(rs.value().var_names) +
+                        enc->EncodeRow(rs.value().var_names, rs.value().rows[0],
+                                       engine_->dict(), nullptr);
+    EXPECT_EQ(streamed.front(), first) << format;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Encoders: the block path is byte-identical to row-at-a-time EncodeRow.
+// ---------------------------------------------------------------------------
+
+TEST(ResultEncoderBytes, JsonEscapeCoversEveryEscape) {
+  const std::string raw = std::string("q\"b\\n\nr\rt\tc") + '\x01' + '\x1f' + "caf\xc3\xa9 ok";
+  EXPECT_EQ(JsonEscape(raw),
+            std::string("q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001fcaf\xc3\xa9 ok"));
+  std::string appended = "prefix:";
+  AppendJsonEscaped(raw, &appended);
+  EXPECT_EQ(appended, "prefix:" + JsonEscape(raw));
+  EXPECT_EQ(JsonEscape(""), "");
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+
+  // Every byte value at every offset of a long clean run, so the
+  // word-at-a-time skip and the byte loop both meet it: the output must be
+  // what a byte-by-byte escaper produces.
+  auto reference = [](const std::string& in) {
+    std::string out;
+    for (unsigned char c : in) {
+      if (c == '"') out += "\\\"";
+      else if (c == '\\') out += "\\\\";
+      else if (c == '\n') out += "\\n";
+      else if (c == '\r') out += "\\r";
+      else if (c == '\t') out += "\\t";
+      else if (c < 0x20) {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      } else {
+        out += static_cast<char>(c);
+      }
+    }
+    return out;
+  };
+  const std::string clean = "http://example.org/univ-bench/Dept7";
+  for (int c = 0; c < 256; ++c) {
+    for (size_t at = 0; at <= clean.size(); at += 5) {
+      std::string in = clean;
+      in.insert(at, 1, static_cast<char>(c));
+      ASSERT_EQ(JsonEscape(in), reference(in)) << "byte " << c << " at " << at;
+    }
+  }
+}
+
+TEST(ResultEncoderBytes, AppendRowsMatchesConcatenatedEncodeRow) {
+  rdf::Dataset ds;
+  const std::string esc = std::string("a\"b\\c\nd\re\tf") + '\x02' + "g\xc3\xa9h";
+  const rdf::Term terms[] = {
+      rdf::Term::Iri("http://x/plain"),
+      rdf::Term::Iri("http://x/odd\"iri"),
+      rdf::Term::Literal(esc),
+      rdf::Term::TypedLiteral("42", "http://www.w3.org/2001/XMLSchema#integer"),
+      rdf::Term::LangLiteral("bonjour \"toi\"", "fr"),
+      rdf::Term::Blank("b0"),
+  };
+  std::vector<TermId> ids;
+  for (const rdf::Term& t : terms) ids.push_back(ds.dict().GetOrAdd(t));
+  // Computed (aggregate-style) terms live above the dictionary.
+  sparql::LocalVocab vocab(static_cast<TermId>(ds.dict().size()));
+  ids.push_back(vocab.Intern(rdf::Term::TypedLiteral(
+      "2.5", "http://www.w3.org/2001/XMLSchema#double")));
+  ids.push_back(vocab.Intern(rdf::Term::Literal("local\tvalue")));
+
+  const std::vector<std::string> vars = {"a", "b\"q", "c"};
+  sparql::RowBlock block;
+  std::vector<sparql::Row> rows;
+  for (size_t i = 0; i < 40; ++i) {
+    sparql::Row r = {ids[i % ids.size()], ids[(i * 3 + 1) % ids.size()],
+                     ids[(i * 5 + 2) % ids.size()]};
+    if (i % 4 == 1) r[0] = kInvalidId;  // unbound cells
+    if (i % 6 == 2) r[2] = kInvalidId;
+    if (i == 7) r = {kInvalidId, kInvalidId, kInvalidId};  // nothing bound
+    rows.push_back(r);
+    block.Append(r);
+  }
+  for (const char* format : {"json", "tsv"}) {
+    auto by_row = MakeResultEncoder(format);
+    std::string expect = by_row->Header(vars);
+    for (const sparql::Row& r : rows) expect += by_row->EncodeRow(vars, r, ds.dict(), &vocab);
+    expect += by_row->Footer(sparql::StopCause::kNone);
+
+    // Same rows in uneven runs: one row, then runs of 1..5 rows.
+    auto by_block = MakeResultEncoder(format);
+    std::string got = by_block->Header(vars);
+    sparql::RowRange all = block.Tail(0);
+    size_t at = 0;
+    for (size_t n = 1; at < all.rows; n = n % 5 + 1) {
+      size_t take = std::min(n, all.rows - at);
+      by_block->AppendRows(all.Sub(at, take), ds.dict(), &vocab, &got);
+      at += take;
+    }
+    got += by_block->Footer(sparql::StopCause::kNone);
+    EXPECT_EQ(got, expect) << format;
+  }
+  // Spot-check the JSON bytes of one escaped literal binding.
+  auto enc = MakeResultEncoder("json");
+  enc->Header(vars);
+  std::string one = enc->EncodeRow(vars, {ids[2], kInvalidId, ids[4]}, ds.dict(), &vocab);
+  EXPECT_EQ(one, "{\"a\":{\"type\":\"literal\",\"value\":\"" + JsonEscape(esc) +
+                     "\"},\"c\":{\"type\":\"literal\",\"value\":\"bonjour \\\"toi\\\"\","
+                     "\"xml:lang\":\"fr\"}}");
 }
 
 // ---------------------------------------------------------------------------
@@ -214,10 +413,11 @@ class GateSolver final : public sparql::BgpSolver {
   }
   const rdf::Dictionary& dict() const override { return dict_; }
 
-  /// Blocks until `n` Evaluate calls are waiting at the gate.
-  void WaitForActive(int n) const {
+  /// Blocks until `n` Evaluate calls are waiting at the gate; false if
+  /// that does not happen within the deadline.
+  bool WaitForActive(int n) const {
     std::unique_lock<std::mutex> lock(mu_);
-    entered_.wait(lock, [&] { return active_ >= n; });
+    return entered_.wait_for(lock, kDeadline, [&] { return active_ >= n; });
   }
   void Release() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -287,18 +487,18 @@ TEST(ServerAdmission, SaturatedPoolAnswers503ThenRecovers) {
   ASSERT_TRUE(server.Start().ok());
 
   // First request occupies the only worker, held at the solver gate.
-  int fd = DialLocal(server.port());
+  int fd = TimedDial(server.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(
       WriteHttpRequest(fd, "GET", "/sparql?format=tsv&query=" +
                                       std::string("SELECT%20?s%20?o%20WHERE%20%7B%20"
                                                   "?s%20%3Chttp://x/p%3E%20?o%20.%20%7D"))
           .ok());
-  solver.WaitForActive(1);
+  ASSERT_TRUE(solver.WaitForActive(1));
 
   // Saturated: the acceptor must reject instantly, not queue.
   HttpResponse rejected;
-  ASSERT_TRUE(HttpGet(server.port(), "/stats", &rejected).ok());
+  ASSERT_TRUE(TimedGet(server.port(), "/stats", &rejected).ok());
   EXPECT_EQ(rejected.status, 503);
   EXPECT_GE(server.stats().rejected_overload, 1u);
 
@@ -312,7 +512,7 @@ TEST(ServerAdmission, SaturatedPoolAnswers503ThenRecovers) {
   // Worker freed: served again (retry while the worker re-parks).
   HttpResponse again;
   for (int i = 0; i < 200; ++i) {
-    if (HttpGet(server.port(), "/stats", &again).ok() && again.status == 200) break;
+    if (TimedGet(server.port(), "/stats", &again).ok() && again.status == 200) break;
     std::this_thread::sleep_for(milliseconds(5));
   }
   EXPECT_EQ(again.status, 200);
@@ -328,7 +528,7 @@ TEST(ServerTeardown, MidStreamDisconnectAbandonsCursor) {
   SparqlServer server(&engine, ServerConfig{});
   ASSERT_TRUE(server.Start().ok());
 
-  int fd = DialLocal(server.port());
+  int fd = TimedDial(server.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(
       WriteHttpRequest(fd, "GET", "/sparql?format=tsv&capacity=4&query=" +
@@ -367,13 +567,13 @@ TEST(ServerScale, SixtyFourConcurrentStreamingRequests) {
       "?s%20%3Chttp://x/p%3E%20?o%20.%20%7D";
   std::vector<int> fds(kClients, -1);
   for (int i = 0; i < kClients; ++i) {
-    fds[i] = DialLocal(server.port());
+    fds[i] = TimedDial(server.port());
     ASSERT_GE(fds[i], 0);
     ASSERT_TRUE(WriteHttpRequest(fds[i], "GET", target).ok());
   }
   // All 64 producers held at the gate at once: 64 streaming cursors are in
   // flight over one shared engine, each on its own worker thread.
-  solver.WaitForActive(kClients);
+  ASSERT_TRUE(solver.WaitForActive(kClients));
   solver.Release();
 
   // Row-for-row parity: every body equals the materialized reference.
@@ -410,7 +610,7 @@ TEST(ServerDeadline, DeadlineBeforeFirstRowIs408MidStreamIsMarker) {
   SparqlServer server(&engine, ServerConfig{});
   ASSERT_TRUE(server.Start().ok());
   HttpResponse resp;
-  ASSERT_TRUE(HttpGet(server.port(),
+  ASSERT_TRUE(TimedGet(server.port(),
                       "/sparql?timeout-ms=50&query=SELECT%20?s%20?o%20WHERE%20%7B%20"
                       "?s%20%3Chttp://x/p%3E%20?o%20.%20%7D",
                       &resp)
@@ -427,7 +627,7 @@ TEST(ServerLimits, RowBudgetStopCarriesInBodyMarkerAndTrailer) {
   SparqlServer server(&engine, ServerConfig{});
   ASSERT_TRUE(server.Start().ok());
   HttpResponse resp;
-  ASSERT_TRUE(HttpGet(server.port(),
+  ASSERT_TRUE(TimedGet(server.port(),
                       "/sparql?format=tsv&budget=100&query=SELECT%20?s%20?o%20WHERE%20"
                       "%7B%20?s%20%3Chttp://x/p%3E%20?o%20.%20%7D",
                       &resp)

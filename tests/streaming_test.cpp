@@ -220,6 +220,124 @@ TEST(StreamingBackpressure, LimitZeroEndsImmediately) {
 }
 
 // ---------------------------------------------------------------------------
+// Block handoff: rows move in RowBlocks sized from channel_capacity.
+// ---------------------------------------------------------------------------
+
+/// The ChannelSink's rows_in from a rendered EXPLAIN.
+uint64_t SinkRowsIn(const std::string& plan) {
+  size_t at = plan.find("ChannelSink");
+  if (at == std::string::npos) return 0;
+  at = plan.find("in=", at);
+  return at == std::string::npos ? 0 : std::stoull(plan.substr(at + 3));
+}
+
+TEST(StreamingBlocks, EveryCapacityKeepsOrderAndTheChannelBound) {
+  rdf::Dataset ds = TinyData();
+  CountingSolver solver(ds.dict(), 3000);
+  QueryEngine engine(&solver);
+  Row row;
+  std::vector<Row> materialized;
+  {
+    auto cursor = engine.Open(kPairQuery);
+    ASSERT_TRUE(cursor.ok());
+    while (cursor.value().Next(&row)) materialized.push_back(row);
+  }
+  for (uint32_t capacity : {1u, 2u, 3u, 8u, 64u}) {
+    // Row by row.
+    auto by_row = engine.Open(kPairQuery, Streaming(capacity));
+    ASSERT_TRUE(by_row.ok());
+    std::vector<Row> rows;
+    while (by_row.value().Next(&row)) rows.push_back(row);
+    EXPECT_TRUE(by_row.value().status().ok());
+    EXPECT_EQ(rows, materialized) << "capacity " << capacity;
+    EXPECT_LE(by_row.value().peak_channel_rows(), capacity) << "capacity " << capacity;
+    EXPECT_LE(by_row.value().peak_buffered_rows(), capacity) << "capacity " << capacity;
+
+    // Block by block, mixed with single rows: same rows, same order.
+    auto by_block = engine.Open(kPairQuery, Streaming(capacity));
+    ASSERT_TRUE(by_block.ok());
+    rows.clear();
+    RowRange run;
+    for (bool single = true;; single = !single) {
+      if (single) {
+        if (!by_block.value().Next(&row)) break;
+        rows.push_back(row);
+        continue;
+      }
+      if (!by_block.value().NextBlock(&run)) break;
+      ASSERT_GE(run.rows, 1u);
+      ASSERT_EQ(run.width, 2u);
+      for (size_t i = 0; i < run.rows; ++i)
+        rows.emplace_back(run.row(i), run.row(i) + run.width);
+    }
+    EXPECT_TRUE(by_block.value().status().ok());
+    EXPECT_EQ(rows, materialized) << "capacity " << capacity;
+    EXPECT_LE(by_block.value().peak_channel_rows(), capacity) << "capacity " << capacity;
+  }
+}
+
+TEST(StreamingBlocks, MaterializedNextBlockServesOneRowAtATime) {
+  rdf::Dataset ds = TinyData();
+  CountingSolver solver(ds.dict(), 10);
+  QueryEngine engine(&solver);
+  auto cursor = engine.Open(kPairQuery);
+  ASSERT_TRUE(cursor.ok());
+  RowRange run;
+  uint64_t n = 0;
+  while (cursor.value().NextBlock(&run)) {
+    EXPECT_EQ(run.rows, 1u);
+    ++n;
+  }
+  EXPECT_EQ(n, 10u);
+}
+
+TEST(StreamingBlocks, AbandonMidBlockJoinsTheProducer) {
+  rdf::Dataset ds = TinyData();
+  constexpr uint64_t kTotal = 1000000;
+  CountingSolver solver(ds.dict(), kTotal);
+  QueryEngine engine(&solver);
+  {
+    auto cursor = engine.Open(kPairQuery, Streaming(64));
+    ASSERT_TRUE(cursor.ok());
+    Row row;
+    ASSERT_TRUE(cursor.value().Next(&row));  // starts the producer
+    // Let the producer fill every block it may hold and park on the full
+    // channel, so the next pop takes a whole block.
+    std::this_thread::sleep_for(milliseconds(30));
+    RowRange run;
+    ASSERT_TRUE(cursor.value().NextBlock(&run));
+    EXPECT_GT(run.rows, 1u);
+    // Read one more row from the following block, then walk away from it.
+    ASSERT_TRUE(cursor.value().Next(&row));
+  }
+  // The destructor stopped the enumeration and joined the producer before
+  // returning: nothing is emitted after it, and far fewer rows than the
+  // solver had were ever produced.
+  const uint64_t emitted = solver.emitted();
+  std::this_thread::sleep_for(milliseconds(10));
+  EXPECT_EQ(solver.emitted(), emitted);
+  EXPECT_LE(emitted, 64u + 1u + 64u);
+}
+
+TEST(StreamingBlocks, MidStreamExplainCoversEveryRowSeen) {
+  rdf::Dataset ds = TinyData();
+  CountingSolver solver(ds.dict(), 20000);
+  QueryEngine engine(&solver);
+  auto cursor = engine.Open(kPairQuery, Streaming(64));
+  ASSERT_TRUE(cursor.ok());
+  Row row;
+  uint64_t seen = 0;
+  for (int round = 0; round < 50 && cursor.value().Next(&row); ++round) {
+    ++seen;
+    std::string plan = cursor.value().Explain();
+    if (plan.find("streaming snapshot") == std::string::npos) break;  // ended
+    EXPECT_GE(SinkRowsIn(plan), seen) << plan;
+    if (round % 7 == 0) std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_GT(seen, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Teardown: abandoned cursors.
 // ---------------------------------------------------------------------------
 

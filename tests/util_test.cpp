@@ -330,5 +330,67 @@ TEST(Channel, TimedOverloadsStillCountSlices) {
   EXPECT_GE(ch.timed_wait_slices(), 1u);
 }
 
+TEST(Channel, WeightedItemsRecycleAndStayWithinCapacity) {
+  // The streaming cursor's use: items weigh their row count, the consumer's
+  // current item counts until its next Pop, and popped items come back to
+  // the producer through Push instead of being reallocated.
+  using Block = std::vector<int>;
+  Channel<Block> ch(10);
+  constexpr int kBlocks = 200;
+  std::atomic<int> fresh{0};  // pushes that got back a never-used item
+  std::thread producer([&] {
+    Block b;
+    for (int i = 0; i < kBlocks; ++i) {
+      b.assign(static_cast<size_t>(1 + i % 4), i);
+      ASSERT_EQ(ch.Push(&b, b.size()), Channel<Block>::Op::kOk);
+      if (b.capacity() == 0) fresh.fetch_add(1);
+      EXPECT_LE(ch.size(), 10u);
+    }
+    ch.CloseProducer();
+  });
+  Block got;
+  int next = 0;
+  while (ch.Pop(&got) == Channel<Block>::Op::kOk) {
+    ASSERT_EQ(got.size(), static_cast<size_t>(1 + next % 4));
+    EXPECT_EQ(got.front(), next);
+    ++next;
+    if (next % 16 == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  producer.join();
+  EXPECT_EQ(next, kBlocks);
+  EXPECT_LE(ch.peak_size(), 10u);
+  EXPECT_EQ(ch.timed_wait_slices(), 0u);  // abort-free ends never poll
+  // Only the items in flight before the first recycle were ever new.
+  EXPECT_LE(fresh.load(), 12);
+}
+
+TEST(Channel, HeldItemCountsUntilTheNextPop) {
+  Channel<int> ch(2);
+  ASSERT_EQ(ch.Push(1), Channel<int>::Op::kOk);
+  ASSERT_EQ(ch.Push(2), Channel<int>::Op::kOk);
+  int v = 0;
+  ASSERT_EQ(ch.Pop(&v), Channel<int>::Op::kOk);
+  // The popped item still holds its unit: the channel is full.
+  EXPECT_EQ(ch.size(), 2u);
+  EXPECT_EQ(ch.Push(3, [] { return true; }), Channel<int>::Op::kAborted);
+  ASSERT_EQ(ch.Pop(&v), Channel<int>::Op::kOk);  // releases item 1
+  EXPECT_EQ(v, 2);
+  EXPECT_EQ(ch.Push(3, kNeverAbort), Channel<int>::Op::kOk);
+}
+
+TEST(Channel, ConsumerWaitingIsVisibleToTheProducer) {
+  Channel<int> ch(4);
+  EXPECT_FALSE(ch.consumer_waiting());
+  std::thread consumer([&] {
+    int v = 0;
+    EXPECT_EQ(ch.Pop(&v), Channel<int>::Op::kOk);
+    EXPECT_EQ(v, 7);
+  });
+  while (!ch.consumer_waiting()) std::this_thread::yield();
+  ASSERT_EQ(ch.Push(7), Channel<int>::Op::kOk);
+  EXPECT_FALSE(ch.consumer_waiting());  // the push satisfied the wait
+  consumer.join();
+}
+
 }  // namespace
 }  // namespace turbo::util
