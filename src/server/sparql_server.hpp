@@ -71,7 +71,10 @@ struct ServerConfig {
   /// Server-wide defaults, applied when a request names no tighter value.
   uint64_t default_timeout_ms = 0;  ///< 0 = no deadline
   uint64_t max_row_budget = sparql::kNoBudget;
-  uint32_t default_channel_capacity = 256;
+  /// The server reads whole blocks (a quarter of this) and buffers rows
+  /// into chunks anyway, so it runs a larger channel than ExecOptions'
+  /// default: fewer producer wakeups per row.
+  uint32_t default_channel_capacity = 4096;
 };
 
 struct ServerStats {

@@ -618,10 +618,11 @@ class CollectOp final : public RowOp {
 /// Root sink for streaming cursors: appends each delivered row to the
 /// producer's open RowBlock and hands whole blocks to the bounded delivery
 /// channel, blocking while the consumer lags. A block is handed over when it
-/// holds `block_rows` rows, or earlier when the consumer is parked waiting,
-/// and the first row is always handed over alone — so neither the first
-/// row nor any row the consumer is already waiting for is held back to
-/// fill a block. Flush() hands over what is left when the pipeline ends
+/// holds `block_rows` rows, or earlier when the consumer is parked waiting
+/// for a row (Cursor::Next; a block reader waits quietly), and the first
+/// row is always handed over alone — so neither the first row nor any row
+/// a row reader is already waiting for is held back to fill a block.
+/// Flush() hands over what is left when the pipeline ends
 /// (however it ends: rows delivered before a failure remain valid). Emptied
 /// blocks come back through the channel, so the steady state allocates
 /// nothing.

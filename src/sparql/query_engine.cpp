@@ -330,9 +330,10 @@ struct Cursor::State {
   void Start();           // first use: Run() or StartStreaming()
   void Run();             // materialized execution (sink = CollectOp)
   void StartStreaming();  // create the channel, spawn the producer
-  /// Consumer-side: pops the next block into `block`. False at the end of
-  /// the stream (or on the consumer's own cancel/deadline), after Settle.
-  bool NextStreamBlock();
+  /// Consumer-side: pops the next block into `block`, parking with `wait`
+  /// while the channel is empty. False at the end of the stream (or on the
+  /// consumer's own cancel/deadline), after Settle.
+  bool NextStreamBlock(util::Channel<RowBlock>::Wait wait);
   void ProducerMain();
   void PublishExplainSnapshot();
   void RunPipeline(bool streaming);
@@ -673,7 +674,7 @@ void Cursor::State::RunPipeline(bool streaming) {
   }
 }
 
-bool Cursor::State::NextStreamBlock() {
+bool Cursor::State::NextStreamBlock(util::Channel<RowBlock>::Wait wait) {
   if (stream_ended) return false;
   // The consumer observes its own cancel/deadline while blocked on an
   // empty channel — the producer may be wedged deep in a pipeline breaker
@@ -684,11 +685,11 @@ bool Cursor::State::NextStreamBlock() {
   consumer.cancel = opts.cancel_token;
   consumer.deadline = opts.deadline;
   const bool needs_probe = consumer.cancel != nullptr || consumer.has_deadline();
-  auto op = needs_probe ? channel->Pop(&block,
+  auto op = needs_probe ? channel->Pop(&block, wait,
                                        [&consumer] {
                                          return consumer.cancelled() || consumer.expired();
                                        })
-                        : channel->Pop(&block);
+                        : channel->Pop(&block, wait);
   block_pos = 0;
   if (op == util::Channel<RowBlock>::Op::kOk) return true;
   block.Clear();
@@ -704,7 +705,11 @@ bool Cursor::Next(Row* row) {
   State& s = *state_;
   s.Start();
   if (s.opts.streaming) {
-    if (s.block_pos == s.block.size() && !s.NextStreamBlock()) return false;
+    // A row reader wants each row the moment it exists: a parked Next
+    // announces itself, and the producer hands its open block over early.
+    if (s.block_pos == s.block.size() &&
+        !s.NextStreamBlock(util::Channel<RowBlock>::Wait::kAnnounce))
+      return false;
     const TermId* cells = s.block.row(s.block_pos++);
     row->assign(cells, cells + s.block.width());
     return true;
@@ -721,7 +726,12 @@ bool Cursor::NextBlock(RowRange* rows) {
   State& s = *state_;
   s.Start();
   if (s.opts.streaming) {
-    if (s.block_pos == s.block.size() && !s.NextStreamBlock()) return false;
+    // A block reader waits quietly for whole blocks, so the handoffs fall
+    // at fixed row counts (the first row, then every block_rows) instead of
+    // wherever the consumer happened to park.
+    if (s.block_pos == s.block.size() &&
+        !s.NextStreamBlock(util::Channel<RowBlock>::Wait::kQuiet))
+      return false;
     *rows = s.block.Tail(s.block_pos);
     s.block_pos = s.block.size();
     return true;

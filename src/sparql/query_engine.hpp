@@ -80,8 +80,8 @@ struct ExecOptions {
   const std::atomic<bool>* cancel_token = nullptr;
   /// Run the operator pipeline on a producer thread that hands rows to the
   /// consumer in blocks through a bounded channel: Next() returns as soon as
-  /// one row exists (a block is handed over early whenever the consumer is
-  /// waiting), the channel itself holds at most `channel_capacity` delivered
+  /// one row exists (a block is handed over early whenever Next is
+  /// waiting; NextBlock waits for whole blocks), the channel itself holds at most `channel_capacity` delivered
   /// rows and, with the producer's open block, at most one more (plus any
   /// sort/group operator buffers), and destroying the cursor tears the
   /// enumeration down. When false (the default) the cursor materializes
@@ -161,9 +161,12 @@ class Cursor {
   /// Block-level read: points `*rows` at every delivered row not yet read
   /// (at least one) and advances past them. A streaming cursor returns the
   /// rest of the block it is reading; a materialized one returns one row.
-  /// The rows stay valid until the next Next/NextBlock call. Returns false
-  /// where Next would. Next and NextBlock may be mixed; rows arrive in the
-  /// same order either way.
+  /// A streaming NextBlock waits for the producer to fill a whole block
+  /// (only the first row, and the last block, come over on their own):
+  /// unlike Next, it never makes the producer hand over early. The rows stay
+  /// valid until the next Next/NextBlock call. Returns false where Next
+  /// would. Next and NextBlock may be mixed; rows arrive in the same order
+  /// either way.
   bool NextBlock(RowRange* rows);
 
   /// How the stream ended so far; Ok while rows are still flowing.

@@ -26,7 +26,11 @@
 //
 // consumer_waiting() lets a batching producer hand over a partial item the
 // moment the consumer is parked on an empty channel, so batching never
-// delays a row the consumer is already waiting for.
+// delays a row the consumer is already waiting for. A consumer that wants
+// whole items (a block reader that buffers its output anyway) pops with
+// Wait::kQuiet: it parks without announcing itself, so where the producer
+// cuts its items depends only on what it produced, never on when the
+// consumer happened to park.
 //
 // Protocol:
 //   - producer: Push(...) until done or aborted, then CloseProducer().
@@ -59,6 +63,12 @@ class Channel {
     kOk,       ///< item transferred
     kClosed,   ///< Push: consumer walked away; Pop: producer done and empty
     kAborted,  ///< the abort predicate fired while blocked
+  };
+
+  /// How a consumer parked on an empty channel shows to the producer.
+  enum class Wait : uint8_t {
+    kAnnounce,  ///< consumer_waiting() turns true: hand over what you have
+    kQuiet,     ///< consumer_waiting() stays false: hand over whole items
   };
 
   explicit Channel(size_t capacity) : cap_(capacity == 0 ? 1 : capacity) {}
@@ -109,7 +119,7 @@ class Channel {
   /// side is still open. kClosed means end-of-stream: every pushed item has
   /// been popped.
   template <typename AbortFn>
-  Op Pop(T* out, AbortFn&& abort) {
+  Op Pop(T* out, Wait wait, AbortFn&& abort) {
     std::unique_lock<std::mutex> lock(mu_);
     Release(out);
     while (count_ == 0) {
@@ -118,20 +128,24 @@ class Channel {
         return producer_closed_ ? Op::kClosed : Op::kAborted;
       }
       ++timed_wait_slices_;
-      waiting_.store(true, std::memory_order_relaxed);
+      waiting_.store(wait == Wait::kAnnounce, std::memory_order_relaxed);
       not_empty_.wait_for(lock, kWaitSlice);
     }
     DoPop(out);
     return Op::kOk;
   }
+  template <typename AbortFn>
+  Op Pop(T* out, AbortFn&& abort) {
+    return Pop(out, Wait::kAnnounce, std::forward<AbortFn>(abort));
+  }
 
   /// Abort-free pop: blocks untimed until an item arrives or the producer
   /// closes — both producer events notify, so no timed polling is needed.
-  Op Pop(T* out) {
+  Op Pop(T* out, Wait wait = Wait::kAnnounce) {
     std::unique_lock<std::mutex> lock(mu_);
     Release(out);
     if (count_ == 0 && !producer_closed_) {
-      waiting_.store(true, std::memory_order_relaxed);
+      waiting_.store(wait == Wait::kAnnounce, std::memory_order_relaxed);
       not_empty_.wait(lock, [this] { return producer_closed_ || count_ != 0; });
       waiting_.store(false, std::memory_order_relaxed);
     }
@@ -140,8 +154,9 @@ class Channel {
     return Op::kOk;
   }
 
-  /// True while the consumer is parked on an empty channel. A relaxed read
-  /// with no lock: a stale answer only moves a partial handoff by one item.
+  /// True while the consumer is parked on an empty channel with
+  /// Wait::kAnnounce. A relaxed read with no lock: a stale answer only
+  /// moves a partial handoff by one item.
   bool consumer_waiting() const { return waiting_.load(std::memory_order_relaxed); }
 
   /// End of stream: the consumer drains what is buffered, then sees kClosed.

@@ -145,6 +145,46 @@ class StallingSolver final : public BgpSolver {
   const rdf::Dictionary& dict_;
 };
 
+/// Emits `total` rows, holding (politely, honouring the control) before
+/// each row index in `pauses` until Release() has been called once more —
+/// a producer that leaves the consumer parked on an empty channel for as
+/// long as the test wants.
+class PausingSolver final : public BgpSolver {
+ public:
+  PausingSolver(const rdf::Dictionary& dict, uint64_t total, std::vector<uint64_t> pauses)
+      : dict_(dict), total_(total), pauses_(std::move(pauses)) {}
+
+  util::Status Evaluate(const std::vector<TriplePattern>&, const VarRegistry&,
+                        const Row&, const std::vector<const FilterExpr*>&,
+                        const RowSink& emit, const EvalControl& control) const override {
+    Row r(2, 0);
+    size_t next_pause = 0;
+    for (uint64_t i = 0; i < total_; ++i) {
+      if (next_pause < pauses_.size() && i == pauses_[next_pause]) {
+        ++next_pause;
+        while (released_.load() < next_pause) {
+          if (auto st = control.Check(); !st.ok()) return st;
+          std::this_thread::sleep_for(milliseconds(1));
+        }
+      }
+      r[0] = static_cast<TermId>(i % dict_.size());
+      emitted_.fetch_add(1);
+      if (emit(r) == EmitResult::kStop) return util::Status::Ok();
+    }
+    return util::Status::Ok();
+  }
+  const rdf::Dictionary& dict() const override { return dict_; }
+  void Release() const { released_.fetch_add(1); }
+  uint64_t emitted() const { return emitted_.load(); }
+
+ private:
+  const rdf::Dictionary& dict_;
+  const uint64_t total_;
+  const std::vector<uint64_t> pauses_;
+  mutable std::atomic<size_t> released_{0};
+  mutable std::atomic<uint64_t> emitted_{0};
+};
+
 ExecOptions Streaming(uint32_t capacity) {
   ExecOptions opts;
   opts.streaming = true;
@@ -335,6 +375,52 @@ TEST(StreamingBlocks, MidStreamExplainCoversEveryRowSeen) {
     if (round % 7 == 0) std::this_thread::sleep_for(milliseconds(1));
   }
   EXPECT_GT(seen, 0u);
+}
+
+TEST(StreamingBlocks, NextHandsOverEarlyToAWaitingRowReader) {
+  rdf::Dataset ds = TinyData();
+  // Row 1, a pause, row 2, a pause, rows 3..20.
+  PausingSolver solver(ds.dict(), 20, {1, 2});
+  QueryEngine engine(&solver);
+  auto cursor = engine.Open(kPairQuery, Streaming(64));  // blocks of 16
+  ASSERT_TRUE(cursor.ok());
+  Row row;
+  ASSERT_TRUE(cursor.value().Next(&row));
+  // Row 2 is produced while Next is parked for it: it comes over alone,
+  // although the producer then holds with its block far from full.
+  std::thread release([&] {
+    std::this_thread::sleep_for(milliseconds(20));
+    solver.Release();
+  });
+  ASSERT_TRUE(cursor.value().Next(&row));
+  release.join();
+  EXPECT_EQ(solver.emitted(), 2u);
+  solver.Release();
+  uint64_t n = 2;
+  while (cursor.value().Next(&row)) ++n;
+  EXPECT_EQ(n, 20u);
+  EXPECT_TRUE(cursor.value().status().ok());
+}
+
+TEST(StreamingBlocks, NextBlockHandoffsFallAtFixedRowCounts) {
+  rdf::Dataset ds = TinyData();
+  // 1 + 16 + 16 + 16 + 1 rows. The producer pauses after row 20, in the
+  // middle of the second full block, while the consumer sits parked in
+  // NextBlock: a quiet block reader must not make it hand over early.
+  PausingSolver solver(ds.dict(), 50, {20});
+  QueryEngine engine(&solver);
+  auto cursor = engine.Open(kPairQuery, Streaming(64));  // blocks of 16
+  ASSERT_TRUE(cursor.ok());
+  std::vector<size_t> sizes;
+  RowRange run;
+  std::thread release([&] {
+    std::this_thread::sleep_for(milliseconds(20));
+    solver.Release();
+  });
+  while (cursor.value().NextBlock(&run)) sizes.push_back(run.rows);
+  release.join();
+  EXPECT_TRUE(cursor.value().status().ok());
+  EXPECT_EQ(sizes, (std::vector<size_t>{1, 16, 16, 16, 1}));
 }
 
 // ---------------------------------------------------------------------------

@@ -392,5 +392,25 @@ TEST(Channel, ConsumerWaitingIsVisibleToTheProducer) {
   consumer.join();
 }
 
+TEST(Channel, QuietConsumerParksUnseen) {
+  Channel<int> ch(4);
+  std::atomic<bool> popped{false};
+  std::thread consumer([&] {
+    int v = 0;
+    EXPECT_EQ(ch.Pop(&v, Channel<int>::Wait::kQuiet), Channel<int>::Op::kOk);
+    EXPECT_EQ(v, 7);
+    popped.store(true);
+  });
+  // However long the consumer sits parked, the producer never sees it.
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_FALSE(ch.consumer_waiting());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(popped.load());
+  ASSERT_EQ(ch.Push(7), Channel<int>::Op::kOk);
+  consumer.join();
+  EXPECT_EQ(ch.timed_wait_slices(), 0u);
+}
+
 }  // namespace
 }  // namespace turbo::util
