@@ -896,7 +896,14 @@ MatchStats MatchImpl(const DataGraph& g, const MatchOptions& options, const Quer
     return stats;
   }
 
-  uint32_t nthreads = std::max(1u, options.num_threads);
+  // §5.2 fan-out: no more workers than there are chunks of start vertices
+  // to hand out (slices, for the static split), so a selective query with a
+  // few starts checks out no idle workers or arenas.
+  const uint64_t starts = c.start_list.size();
+  const uint64_t chunk = std::max(1u, options.chunk_size);
+  const uint64_t chunks = options.dynamic_chunking ? (starts + chunk - 1) / chunk : starts;
+  const uint32_t nthreads = static_cast<uint32_t>(
+      std::max<uint64_t>(1, std::min<uint64_t>(options.num_threads, chunks)));
   if (nthreads == 1) {
     std::unique_ptr<RegionArena> arena = acquire_arena();
     {

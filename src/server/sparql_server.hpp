@@ -45,8 +45,10 @@
 // the wait queue are both full, the acceptor answers 503 immediately rather
 // than letting connections queue unbounded. A client that disconnects
 // mid-stream fails the next chunk write; the worker abandons the cursor,
-// which tears down the producer thread (no leak — the server tests assert
-// this).
+// which stops and joins its producer task, whose thread goes back to the
+// process-wide util::ThreadCache (no leak — the server tests assert this).
+// The acceptor and the workers are the server's only threads of its own;
+// no request starts one.
 #pragma once
 
 #include <cstdint>

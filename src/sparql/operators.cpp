@@ -261,36 +261,21 @@ util::Status TopKOp::DoFinish() {
 
 namespace {
 
-void AppendChain(const RowOp* op, int depth, const ExplainCounts* counts,
-                 std::string* out) {
+void AppendChain(const RowOp* op, int depth, std::string* out) {
   for (; op; op = op->next()) {
-    uint64_t in = 0, out_rows = 0;
-    if (counts) {
-      // Snapshot render: never touch the live counters (they belong to a
-      // still-running producer thread); an operator missing from the
-      // snapshot reads as zero.
-      auto it = counts->find(op);
-      if (it != counts->end()) {
-        in = it->second.first;
-        out_rows = it->second.second;
-      }
-    } else {
-      in = op->rows_in();
-      out_rows = op->rows_out();
-    }
     out->append(static_cast<size_t>(depth) * 2, ' ');
     *out += op->label();
-    *out += "  in=" + std::to_string(in) + " out=" + std::to_string(out_rows) + "\n";
-    for (const RowOp* child : op->children())
-      AppendChain(child, depth + 1, counts, out);
+    *out += "  in=" + std::to_string(op->rows_in()) +
+            " out=" + std::to_string(op->rows_out()) + "\n";
+    for (const RowOp* child : op->children()) AppendChain(child, depth + 1, out);
   }
 }
 
 }  // namespace
 
-std::string ExplainChain(const RowOp* head, const ExplainCounts* counts) {
+std::string ExplainChain(const RowOp* head) {
   std::string out;
-  AppendChain(head, 0, counts, &out);
+  AppendChain(head, 0, &out);
   return out;
 }
 

@@ -40,10 +40,12 @@
 // those counts (the `sparql_shell --explain` output).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -99,7 +101,7 @@ class RowOp {
 
   /// Processes one input row; kStop means the chain needs no further input.
   EmitResult Push(const Row& row) {
-    ++rows_in_;
+    Bump(&rows_in_);
     return DoPush(row);
   }
 
@@ -116,15 +118,15 @@ class RowOp {
 
   const std::string& label() const { return label_; }
   RowOp* next() const { return next_; }
-  uint64_t rows_in() const { return rows_in_; }
-  uint64_t rows_out() const { return rows_out_; }
+  uint64_t rows_in() const { return rows_in_.load(std::memory_order_relaxed); }
+  uint64_t rows_out() const { return rows_out_.load(std::memory_order_relaxed); }
   /// Sub-chain heads (UNION branches, OPTIONAL extension) for EXPLAIN.
   virtual std::vector<const RowOp*> children() const { return {}; }
 
  protected:
   /// Hands a row to the downstream operator (kContinue at the chain tail).
   EmitResult Emit(const Row& row) {
-    ++rows_out_;
+    Bump(&rows_out_);
     return next_ ? next_->Push(row) : EmitResult::kContinue;
   }
 
@@ -155,8 +157,15 @@ class RowOp {
   std::string label_;
   RowOp* next_;
   ExecState* state_;
-  uint64_t rows_in_ = 0;
-  uint64_t rows_out_ = 0;
+  // Written by one thread at a time (the producer, or parallel solver
+  // workers under their delivery mutex); atomic so a streaming cursor's
+  // consumer can render them mid-stream (Cursor::Explain).
+  std::atomic<uint64_t> rows_in_{0};
+  std::atomic<uint64_t> rows_out_{0};
+
+  static void Bump(std::atomic<uint64_t>* counter) {
+    counter->store(counter->load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
 };
 
 /// Owns the operators of one execution (operators hold raw pointers into
@@ -173,15 +182,9 @@ struct Pipeline {
   }
 };
 
-/// Snapshot of per-operator (rows_in, rows_out) counts keyed by operator,
-/// for rendering an EXPLAIN of a tree whose live counters are still being
-/// mutated on another thread (the streaming cursor's mid-stream snapshot).
-using ExplainCounts = std::unordered_map<const RowOp*, std::pair<uint64_t, uint64_t>>;
-
 /// Renders the chain starting at `head` as an indented tree with per-
-/// operator row counts (EXPLAIN). With `counts`, the snapshot values are
-/// rendered instead of the operators' live counters.
-std::string ExplainChain(const RowOp* head, const ExplainCounts* counts = nullptr);
+/// operator row counts (EXPLAIN).
+std::string ExplainChain(const RowOp* head);
 
 // ---------------------------------------------------------------------------
 // Pattern-matching operators (the WHERE clause).
@@ -615,6 +618,26 @@ class CollectOp final : public RowOp {
   std::vector<Row>* out_;
 };
 
+/// Rows a streaming producer has appended for a row reader but not yet
+/// handed over. Take() moves them to the reader when it finds the delivery
+/// channel empty (registered with Channel::SetTake), so a producer that
+/// stalls after appending never withholds a row the reader waits for.
+struct StagedRows {
+  std::mutex mu;
+  RowBlock rows;  ///< guarded by mu
+
+  /// Moves the staged rows, if any, into *out (whose contents are
+  /// discarded; its storage goes back to the producer); returns how many
+  /// there were.
+  size_t Take(RowBlock* out) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (rows.empty()) return 0;
+    std::swap(*out, rows);
+    rows.Clear();
+    return out->size();
+  }
+};
+
 /// Root sink for streaming cursors: appends each delivered row to the
 /// producer's open RowBlock and hands whole blocks to the bounded delivery
 /// channel, blocking while the consumer lags. A block is handed over when it
@@ -627,6 +650,12 @@ class CollectOp final : public RowOp {
 /// blocks come back through the channel, so the steady state allocates
 /// nothing.
 ///
+/// For a row reader the open block is `staged` (non-null): rows are appended
+/// under its mutex, and the reader takes them itself when it parks on an
+/// empty channel. The announcement check runs under the same mutex, so a
+/// row appended after a reader's take sees the reader waiting and goes out
+/// at once. A block reader's open block stays private and lock-free.
+///
 /// A channel closed by the consumer — the cursor was abandoned — reads as a
 /// plain kStop, the same unwind LIMIT pushdown uses, so teardown terminates
 /// the subgraph search itself rather than just the delivery.
@@ -637,39 +666,49 @@ class CollectOp final : public RowOp {
 /// stopping). With neither present the sink blocks in the channel's plain
 /// untimed wait — abandonment is always paired with CloseConsumer, which
 /// wakes it — so an abort-free stream never takes a spurious timed wakeup.
-///
-/// `on_deliver` (optional) runs on the producer thread once per block, just
-/// before the block is handed to the channel — the cursor's hook for
-/// publishing a consistent mid-stream EXPLAIN snapshot.
 class ChannelSink final : public RowOp {
  public:
-  ChannelSink(util::Channel<RowBlock>* channel, size_t block_rows,
-              std::function<void()> on_deliver, ExecState* state)
+  ChannelSink(util::Channel<RowBlock>* channel, size_t block_rows, StagedRows* staged,
+              ExecState* state)
       : RowOp("ChannelSink{cap=" +
                   std::to_string(channel->capacity() + block_rows - 1) +
                   " block=" + std::to_string(block_rows) + "}",
               nullptr, state),
         channel_(channel),
         block_rows_(block_rows),
-        on_deliver_(std::move(on_deliver)) {}
+        staged_(staged) {}
 
   EmitResult DoPush(const Row& row) override {
-    open_.Append(row);
-    // The first row always goes out on its own: the consumer may not have
-    // parked yet, and time-to-first-row must not wait for a second row.
-    if (open_.size() < block_rows_ && rows_in() > 1 && !channel_->consumer_waiting())
-      return EmitResult::kContinue;
+    if (!staged_) {
+      open_.Append(row);
+      return HandNow(open_.size()) ? Hand() : EmitResult::kContinue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(staged_->mu);
+      staged_->rows.Append(row);
+      if (!HandNow(staged_->rows.size())) return EmitResult::kContinue;
+      std::swap(open_, staged_->rows);  // open_ is empty between handoffs
+    }
     return Hand();
   }
 
   /// Hands over the open block, if it holds any rows.
   void Flush() {
+    if (staged_) {
+      std::lock_guard<std::mutex> lock(staged_->mu);
+      std::swap(open_, staged_->rows);
+    }
     if (!open_.empty()) Hand();
   }
 
  private:
+  bool HandNow(size_t open_rows) const {
+    // The first row always goes out on its own: the consumer may not have
+    // parked yet, and time-to-first-row must not wait for a second row.
+    return open_rows >= block_rows_ || rows_in() == 1 || channel_->consumer_waiting();
+  }
+
   EmitResult Hand() {
-    if (on_deliver_) on_deliver_();
     const EvalControl& c = state()->control;
     const bool needs_probe = c.cancel != nullptr || c.has_deadline();
     const size_t rows = open_.size();
@@ -691,8 +730,8 @@ class ChannelSink final : public RowOp {
 
   util::Channel<RowBlock>* channel_;
   const size_t block_rows_;
-  std::function<void()> on_deliver_;
-  RowBlock open_;  ///< rows not yet handed over
+  StagedRows* staged_;
+  RowBlock open_;  ///< rows not yet handed over (the block being handed, if staged)
 };
 
 }  // namespace turbo::sparql

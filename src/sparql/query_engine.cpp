@@ -1,7 +1,6 @@
 #include "sparql/query_engine.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_map>
 
 #include "baseline/solvers.hpp"
@@ -12,6 +11,7 @@
 #include "sparql/parser.hpp"
 #include "sparql/turbo_solver.hpp"
 #include "sparql/typed_value.hpp"
+#include "util/thread_cache.hpp"
 
 namespace turbo::sparql {
 
@@ -297,45 +297,41 @@ struct Cursor::State {
   std::unique_ptr<FilterEvaluator> base_eval;  ///< over prepared->vars
   std::unique_ptr<FilterEvaluator> post_eval;  ///< over post_vars + local
 
-  // Streaming delivery (ExecOptions::streaming): the pipeline runs on
-  // `producer`, whose ChannelSink root hands delivered rows in RowBlocks to
-  // the bounded `channel`; the consumer pops one block at a time into
-  // `block` and reads it from `block_pos` without further locking (the
-  // popped block goes back to the producer at the next pop). `abandoned` is
-  // wired into the pipeline's EvalControl (and down into MatchOptions), so
-  // setting it unwinds the enumeration like a cancel — teardown stops the
-  // search itself, not just the delivery. The plain (non-atomic) members
-  // above are written by the producer only before it signals completion and
-  // read by the consumer only after joining it, so they need no locking.
+  // Streaming delivery (ExecOptions::streaming): the pipeline runs as the
+  // `producer` task on a cached thread, and its ChannelSink root hands
+  // delivered rows in RowBlocks to the bounded `channel`; the consumer pops
+  // one block at a time into `block` and reads it from `block_pos` without
+  // further locking (the popped block goes back to the producer at the next
+  // pop). `abandoned` is wired into the pipeline's EvalControl (and down
+  // into MatchOptions), so setting it unwinds the enumeration like a cancel
+  // — teardown stops the search itself, not just the delivery. The plain
+  // (non-atomic) members above are written by the producer only before it
+  // signals completion and read by the consumer only after joining it, so
+  // they need no locking.
   std::unique_ptr<util::Channel<RowBlock>> channel;
   size_t block_rows = 0;        ///< rows per delivery block
   ChannelSink* sink = nullptr;  ///< the pipeline root; flushed at producer exit
   RowBlock block;               ///< consumer-side: the block being read
   size_t block_pos = 0;         ///< consumer-side: next unread row of `block`
-  std::thread producer;
+  bool delivered = false;       ///< consumer-side: some block has arrived
+  bool row_reader = false;      ///< first read was Next: the open block is `staged`
+  StagedRows staged;            ///< a row reader's open block (see ChannelSink)
+  util::ThreadCache::Handle producer;
   std::atomic<bool> abandoned{false};
   std::atomic<bool> producer_done{false};
   bool stream_ended = false;  ///< consumer-side: status/counters settled
 
-  // Mid-stream EXPLAIN snapshot: the producer publishes a copy of every
-  // operator's (rows_in, rows_out) pair — in pipe.ops order — under
-  // explain_mu just before each block is handed to the delivery channel.
-  // Publishing happens strictly after the operator tree is built, so a
-  // consumer that observes a non-empty snapshot under the same mutex may
-  // also walk the (by then immutable) tree structure.
-  std::mutex explain_mu;
-  std::vector<std::pair<uint64_t, uint64_t>> explain_snapshot;
-
   ~State();
-  void Start();           // first use: Run() or StartStreaming()
-  void Run();             // materialized execution (sink = CollectOp)
-  void StartStreaming();  // create the channel, spawn the producer
+  /// First use: Run() or StartStreaming(). `row_reader`: the first read is
+  /// row by row (Next), so the producer's open block is made takeable.
+  void Start(bool row_reader);
+  void Run();  // materialized execution (sink = CollectOp)
+  void StartStreaming(bool first_read_by_row);  // create the channel, start the producer
   /// Consumer-side: pops the next block into `block`, parking with `wait`
   /// while the channel is empty. False at the end of the stream (or on the
   /// consumer's own cancel/deadline), after Settle.
   bool NextStreamBlock(util::Channel<RowBlock>::Wait wait);
   void ProducerMain();
-  void PublishExplainSnapshot();
   void RunPipeline(bool streaming);
   /// Joins the producer and settles status/cause/counters. A non-Ok
   /// `consumer_status` (the consumer's own cancel/deadline trip) takes
@@ -351,7 +347,7 @@ Cursor::State::~State() {
     // is buffered, and join before the pipeline's memory goes away.
     abandoned.store(true, std::memory_order_relaxed);
     channel->CloseConsumer();
-    producer.join();
+    producer.Join();
   }
 }
 
@@ -430,15 +426,15 @@ void Cursor::State::Run() {
   peak_buffered = st.peak_buffered;
 }
 
-void Cursor::State::Start() {
+void Cursor::State::Start(bool row_reader) {
   if (ran) return;
   if (opts.streaming)
-    StartStreaming();
+    StartStreaming(row_reader);
   else
     Run();
 }
 
-void Cursor::State::StartStreaming() {
+void Cursor::State::StartStreaming(bool first_read_by_row) {
   ran = true;
   // The channel counts rows in handed-over blocks; the producer's open
   // block holds up to block_rows more. Sizing the channel at capacity -
@@ -448,27 +444,25 @@ void Cursor::State::StartStreaming() {
   const size_t capacity = std::max<uint32_t>(1, opts.channel_capacity);
   block_rows = BlockRows(capacity);
   channel = std::make_unique<util::Channel<RowBlock>>(capacity - block_rows + 1);
+  // A row reader takes the producer's open block when it finds the channel
+  // empty; a block reader waits for whole blocks.
+  row_reader = first_read_by_row;
+  if (row_reader)
+    channel->SetTake([this](RowBlock* out) { return staged.Take(out); });
   // Streaming executions intern computed terms on the producer while the
   // consumer resolves already-delivered rows, so the shared vocab must
-  // exist before the thread starts (LocalVocab itself synchronizes the
+  // exist before the producer starts (LocalVocab itself synchronizes the
   // concurrent intern/resolve).
   if (opts.vocab)
     local_vocab = opts.vocab;
   else if (prepared->aggregated || prepared->computes)
     local_vocab =
         std::make_shared<LocalVocab>(static_cast<TermId>(solver->dict().size()));
-  producer = std::thread([this] { ProducerMain(); });
-}
-
-void Cursor::State::PublishExplainSnapshot() {
-  std::lock_guard<std::mutex> lock(explain_mu);
-  explain_snapshot.resize(pipe.ops.size());
-  for (size_t i = 0; i < pipe.ops.size(); ++i)
-    explain_snapshot[i] = {pipe.ops[i]->rows_in(), pipe.ops[i]->rows_out()};
+  producer = util::ThreadCache::Global().Run([this] { ProducerMain(); });
 }
 
 void Cursor::State::ProducerMain() {
-  // The library reports failures through Status, but a producer thread must
+  // The library reports failures through Status, but the producer task must
   // not let anything escape — an exception here would terminate the
   // process. It becomes a kProducerFailed status with the original message.
   auto guarded = [this](auto&& step) {
@@ -500,7 +494,7 @@ void Cursor::State::Settle(util::Status consumer_status, StopCause consumer_caus
   // producer has already finished, so the abandon store is a no-op.
   abandoned.store(true, std::memory_order_relaxed);
   channel->CloseConsumer();
-  if (producer.joinable()) producer.join();
+  producer.Join();
   if (!consumer_status.ok()) {
     status = std::move(consumer_status);
     cause = consumer_cause;
@@ -533,7 +527,7 @@ void Cursor::State::RunPipeline(bool streaming) {
   if (q.limit >= 0) limit = std::min(limit, static_cast<uint64_t>(q.limit));
   if (limit == 0) return;  // nothing to deliver: skip enumeration entirely
 
-  // Streaming pre-creates the vocab before the producer thread starts; a
+  // Streaming pre-creates the vocab before the producer starts; a
   // live-store cursor brings its own (chained to the shared term overlay).
   if (!local_vocab) {
     if (opts.vocab)
@@ -550,7 +544,7 @@ void Cursor::State::RunPipeline(bool streaming) {
   RowOp* cur = nullptr;
   if (streaming) {
     sink = pipe.Make<ChannelSink>(channel.get(), block_rows,
-                                  [this] { PublishExplainSnapshot(); }, st);
+                                  row_reader ? &staged : nullptr, st);
     cur = sink;
   } else {
     cur = pipe.Make<CollectOp>(&rows, st);
@@ -691,7 +685,10 @@ bool Cursor::State::NextStreamBlock(util::Channel<RowBlock>::Wait wait) {
                                        })
                         : channel->Pop(&block, wait);
   block_pos = 0;
-  if (op == util::Channel<RowBlock>::Op::kOk) return true;
+  if (op == util::Channel<RowBlock>::Op::kOk) {
+    delivered = true;
+    return true;
+  }
   block.Clear();
   if (op == util::Channel<RowBlock>::Op::kAborted)
     Settle(consumer.Check(), CauseOf(consumer, StopCause::kCancelled));
@@ -703,10 +700,11 @@ bool Cursor::State::NextStreamBlock(util::Channel<RowBlock>::Wait wait) {
 bool Cursor::Next(Row* row) {
   if (!state_) return false;
   State& s = *state_;
-  s.Start();
+  s.Start(/*row_reader=*/true);
   if (s.opts.streaming) {
     // A row reader wants each row the moment it exists: a parked Next
-    // announces itself, and the producer hands its open block over early.
+    // announces itself and takes the producer's open block, and a row the
+    // producer appends while Next is parked goes over at once.
     if (s.block_pos == s.block.size() &&
         !s.NextStreamBlock(util::Channel<RowBlock>::Wait::kAnnounce))
       return false;
@@ -724,7 +722,7 @@ bool Cursor::Next(Row* row) {
 bool Cursor::NextBlock(RowRange* rows) {
   if (!state_) return false;
   State& s = *state_;
-  s.Start();
+  s.Start(/*row_reader=*/false);
   if (s.opts.streaming) {
     // A block reader waits quietly for whole blocks, so the handoffs fall
     // at fixed row counts (the first row, then every block_rows) instead of
@@ -774,25 +772,18 @@ std::shared_ptr<const LocalVocab> Cursor::local_vocab() const {
 std::string Cursor::Explain() {
   if (!state_) return "(no query)\n";
   State& s = *state_;
-  s.Start();
-  // A still-running streaming producer is mutating the per-operator counts,
-  // so never render the live tree mid-stream. Instead render the snapshot
-  // the producer publishes at every delivery boundary: a mutually consistent
-  // copy of all counters taken just before a block was handed to the
-  // channel, so it covers every row the consumer can have seen.
-  // producer_done is a release store after the pipeline's last write, so
-  // once observed the live tree is stable even before Settle runs.
+  s.Start(/*row_reader=*/true);
+  // A still-running streaming producer is still advancing the per-operator
+  // counts; they are atomics, so render them as they stand. Every row the
+  // consumer has received was counted by every operator on its way into the
+  // channel (or the staged block) before it was handed over, so the counts
+  // cover every row seen. The first delivered block also shows that the
+  // tree, built before any row flowed, is complete. producer_done is a
+  // release store after the pipeline's last write, so once observed the
+  // counts are final even before Settle runs.
   if (s.opts.streaming && !s.producer_done.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(s.explain_mu);
-    if (s.explain_snapshot.empty())
-      return "(streaming execution in progress; no rows delivered yet)\n";
-    // A non-empty snapshot was published under explain_mu after the tree
-    // was fully built, so walking the structure here is race-free.
-    ExplainCounts counts;
-    for (size_t i = 0; i < s.pipe.ops.size() && i < s.explain_snapshot.size(); ++i)
-      counts[s.pipe.ops[i].get()] = s.explain_snapshot[i];
-    return "(streaming snapshot at last delivered block; counts still advancing)\n" +
-           ExplainChain(s.pipe.head, &counts);
+    if (!s.delivered) return "(streaming execution in progress; no rows delivered yet)\n";
+    return "(streaming snapshot of live counts; still advancing)\n" + ExplainChain(s.pipe.head);
   }
   if (!s.pipe.head) return "(not executed: empty LIMIT or pre-run stop)\n";
   return ExplainChain(s.pipe.head);

@@ -78,13 +78,15 @@ struct ExecOptions {
   /// Cooperative cancel token owned by the caller; set it from any thread to
   /// stop execution with status "query cancelled".
   const std::atomic<bool>* cancel_token = nullptr;
-  /// Run the operator pipeline on a producer thread that hands rows to the
-  /// consumer in blocks through a bounded channel: Next() returns as soon as
-  /// one row exists (a block is handed over early whenever Next is
-  /// waiting; NextBlock waits for whole blocks), the channel itself holds at most `channel_capacity` delivered
-  /// rows and, with the producer's open block, at most one more (plus any
-  /// sort/group operator buffers), and destroying the cursor tears the
-  /// enumeration down. When false (the default) the cursor materializes
+  /// Run the operator pipeline as a producer task on a parked thread of the
+  /// process-wide util::ThreadCache (no thread is started per query); it
+  /// hands rows to the consumer in blocks through a bounded channel. Next()
+  /// returns as soon as one row exists (a Next that finds the channel empty
+  /// takes the producer's open block; NextBlock waits for whole blocks), the
+  /// channel itself holds at most `channel_capacity` delivered rows and,
+  /// with the producer's open block, at most one more (plus any sort/group
+  /// operator buffers), and destroying the cursor tears the enumeration
+  /// down. When false (the default) the cursor materializes
   /// the delivered set on first use, exactly as before.
   bool streaming = false;
   /// Delivery-channel capacity (rows in flight) for streaming mode; a full
@@ -141,11 +143,12 @@ util::Result<PreparedQuery> PrepareSelect(SelectQuery q);
 /// In materialized mode (the default) the cursor runs the row pipeline on
 /// first use and retains only the rows the modifiers let through (bounded
 /// by LIMIT/limit_budget when present). With ExecOptions::streaming the
-/// pipeline runs on a producer thread feeding a bounded channel of row
-/// blocks; Next() serves rows from the current block and pops the next one
-/// at the consumer's pace, and teardown is clean: the destructor
-/// signals the producer, drains the channel, and joins the thread, so
-/// abandoning a cursor mid-stream terminates the subgraph search itself.
+/// pipeline runs as a producer task on a cached thread, feeding a bounded
+/// channel of row blocks; Next() serves rows from the current block and pops
+/// the next one at the consumer's pace, and teardown is clean: the
+/// destructor signals the producer, drains the channel, and joins the task
+/// (its thread parks for the next query), so abandoning a cursor mid-stream
+/// terminates the subgraph search itself.
 /// The cursor must not outlive the solver/engine it was opened on.
 class Cursor {
  public:
@@ -155,7 +158,12 @@ class Cursor {
   /// status() to distinguish completion from an error). In streaming mode
   /// this blocks until a row is available, the stream ends, or the caller's
   /// cancel/deadline fires (the waits are timeout-aware on both channel
-  /// ends).
+  /// ends). A streaming cursor whose first read is Next is a row reader:
+  /// when Next finds no delivered row, it takes the rows the producer has
+  /// appended but not yet handed over, so a producer that stalls mid-block
+  /// never holds back a row that exists. (On a cursor first read with
+  /// NextBlock, a later Next gets a partial block only when the producer
+  /// appends a row while Next waits.)
   bool Next(Row* row);
 
   /// Block-level read: points `*rows` at every delivered row not yet read
@@ -170,8 +178,8 @@ class Cursor {
   bool NextBlock(RowRange* rows);
 
   /// How the stream ended so far; Ok while rows are still flowing.
-  /// Producer-side errors (solver failures, exceptions on the producer
-  /// thread) surface here with their original message once Next() has
+  /// Producer-side errors (solver failures, exceptions in the producer
+  /// task) surface here with their original message once Next() has
   /// returned false.
   const util::Status& status() const;
 

@@ -26,11 +26,15 @@
 //
 // consumer_waiting() lets a batching producer hand over a partial item the
 // moment the consumer is parked on an empty channel, so batching never
-// delays a row the consumer is already waiting for. A consumer that wants
-// whole items (a block reader that buffers its output anyway) pops with
-// Wait::kQuiet: it parks without announcing itself, so where the producer
-// cuts its items depends only on what it produced, never on when the
-// consumer happened to park.
+// delays a row the consumer is already waiting for. A producer that may
+// stall while it holds a partial item also registers a take function
+// (SetTake): a consumer that announces itself on an empty channel first
+// takes whatever that function yields, so it never waits for units that
+// already exist. A consumer that wants whole items (a block reader that
+// buffers its output anyway) pops with Wait::kQuiet: it parks without
+// announcing itself and takes nothing, so where the producer cuts its items
+// depends only on what it produced, never on when the consumer happened to
+// park.
 //
 // Protocol:
 //   - producer: Push(...) until done or aborted, then CloseProducer().
@@ -50,6 +54,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -75,6 +80,14 @@ class Channel {
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
+
+  /// Registers where a kAnnounce consumer that finds the channel empty takes
+  /// the units the producer holds but has not pushed: `take(out)` runs with
+  /// the channel's lock held, after consumer_waiting() has turned true, and
+  /// moves what it can into *out, returning its units (0: nothing; the
+  /// consumer parks). Those units count as a popped item. Set before either
+  /// end is used.
+  void SetTake(std::function<size_t(T*)> take) { take_ = std::move(take); }
 
   /// Blocks until `units` more fit. `abort()` is polled every wait slice;
   /// returning true abandons the push. On kOk `*item` has been handed over
@@ -127,8 +140,8 @@ class Channel {
         waiting_.store(false, std::memory_order_relaxed);
         return producer_closed_ ? Op::kClosed : Op::kAborted;
       }
+      if (AnnounceAndTake(out, wait)) return Op::kOk;
       ++timed_wait_slices_;
-      waiting_.store(wait == Wait::kAnnounce, std::memory_order_relaxed);
       not_empty_.wait_for(lock, kWaitSlice);
     }
     DoPop(out);
@@ -145,7 +158,7 @@ class Channel {
     std::unique_lock<std::mutex> lock(mu_);
     Release(out);
     if (count_ == 0 && !producer_closed_) {
-      waiting_.store(wait == Wait::kAnnounce, std::memory_order_relaxed);
+      if (AnnounceAndTake(out, wait)) return Op::kOk;
       not_empty_.wait(lock, [this] { return producer_closed_ || count_ != 0; });
       waiting_.store(false, std::memory_order_relaxed);
     }
@@ -244,6 +257,34 @@ class Channel {
     not_empty_.notify_one();
   }
 
+  /// The consumer is about to park on an empty channel: shows it to the
+  /// producer (kAnnounce only), then takes what the producer holds. True
+  /// when *out now holds taken units. Called with the lock held.
+  bool AnnounceAndTake(T* out, Wait wait) {
+    waiting_.store(wait == Wait::kAnnounce, std::memory_order_relaxed);
+    if (wait != Wait::kAnnounce || !take_) return false;
+    // A recycled item goes in, so the take can leave the producer an item
+    // that already has storage.
+    const bool recycled = !free_.empty();
+    if (recycled) {
+      *out = std::move(free_.back());
+      free_.pop_back();
+    }
+    // A producer appending after this take sees the announcement (the take
+    // function synchronizes with it), so it hands over instead of holding.
+    const size_t units = take_(out);
+    if (units == 0) {
+      if (recycled) free_.push_back(std::move(*out));
+      return false;
+    }
+    waiting_.store(false, std::memory_order_relaxed);
+    held_units_ = units;
+    held_ = true;
+    units_ += units;
+    if (units_ > peak_) peak_ = units_;
+    return true;
+  }
+
   /// Frees the units of the item the consumer holds and keeps the item for
   /// recycling. Called with the lock held.
   void Release(T* out) {
@@ -289,6 +330,7 @@ class Channel {
   bool producer_closed_ = false;
   bool consumer_closed_ = false;
   std::atomic<bool> waiting_{false};
+  std::function<size_t(T*)> take_;
 };
 
 }  // namespace turbo::util

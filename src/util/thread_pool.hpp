@@ -2,7 +2,9 @@
 // work distribution: starting data vertices are handed to threads in small
 // chunks claimed from a shared atomic cursor, so skewed candidate-region
 // sizes (the "universities with very different numbers of students" problem)
-// do not unbalance the threads.
+// do not unbalance the threads. The calling thread works as worker 0 and
+// the other workers run on the process-wide ThreadCache, so a parallel
+// match starts no thread of its own.
 //
 // NUMA substitution note: the paper pins threads to sockets and interleaves
 // graph pages across sockets. This VM exposes a single memory domain, so the
@@ -18,6 +20,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/thread_cache.hpp"
 
 namespace turbo::util {
 
@@ -136,17 +140,13 @@ inline void ParallelForDynamic(uint32_t num_threads, uint64_t total, uint64_t ch
     return;
   }
   std::atomic<uint64_t> cursor{0};
-  auto worker = [&](uint32_t tid) {
+  RunOnWorkers(num_threads, [&](uint32_t tid) {
     for (;;) {
       uint64_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
       if (begin >= total) break;
       fn(begin, std::min(begin + chunk, total), tid);
     }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  for (uint32_t t = 0; t < num_threads; ++t) threads.emplace_back(worker, t);
-  for (auto& t : threads) t.join();
+  });
 }
 
 /// Static pre-partitioned variant: thread t processes the contiguous slice
@@ -159,14 +159,11 @@ inline void ParallelForStatic(uint32_t num_threads, uint64_t total,
     fn(0, total, 0);
     return;
   }
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  for (uint32_t t = 0; t < num_threads; ++t) {
+  RunOnWorkers(num_threads, [&](uint32_t t) {
     uint64_t begin = total * t / num_threads;
     uint64_t end = total * (t + 1) / num_threads;
-    if (begin < end) threads.emplace_back(fn, begin, end, t);
-  }
-  for (auto& t : threads) t.join();
+    if (begin < end) fn(begin, end, t);
+  });
 }
 
 }  // namespace turbo::util

@@ -5,6 +5,8 @@
 // region sizes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "engine/engine.hpp"
 #include "rdf/reasoner.hpp"
 #include "sparql/executor.hpp"
@@ -124,6 +126,36 @@ TEST_F(StatsTest, FindAllAndCountAgree) {
   auto sols = Matcher(t_.g()).FindAll(q, &s);
   EXPECT_EQ(sols.size(), s.num_solutions);
   EXPECT_EQ(Matcher(t_.g()).Count(q), sols.size());
+}
+
+TEST_F(StatsTest, ParallelFanOutCappedByStartChunks) {
+  // §5.2 hands start vertices out in chunks; a worker beyond the number of
+  // chunks (slices, for the static split) would have nothing to do, so it
+  // is never started and gets no arena.
+  QueryGraph q = Triangle();
+  MatchStats seq_stats;
+  std::vector<Solution> expected = Matcher(t_.g()).FindAll(q, &seq_stats);
+  ASSERT_EQ(seq_stats.num_start_candidates, 3u);
+  std::sort(expected.begin(), expected.end());
+  struct Case {
+    uint32_t threads, chunk;
+    bool dynamic;
+    uint64_t workers;  // min(threads, ceil(3 / chunk)), or min(threads, 3) static
+  };
+  for (const Case& c : {Case{4, 16, true, 1}, Case{4, 2, true, 2}, Case{4, 1, true, 3},
+                        Case{2, 1, true, 2}, Case{4, 16, false, 3}, Case{2, 16, false, 2}}) {
+    MatchOptions opt;
+    opt.num_threads = c.threads;
+    opt.chunk_size = c.chunk;
+    opt.dynamic_chunking = c.dynamic;
+    MatchStats stats;
+    std::vector<Solution> got = Matcher(t_.g(), opt).FindAll(q, &stats);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(stats.arena_workers, c.workers)
+        << c.threads << " threads, chunk " << c.chunk << (c.dynamic ? "" : ", static");
+    EXPECT_EQ(got, expected)
+        << c.threads << " threads, chunk " << c.chunk << (c.dynamic ? "" : ", static");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <stdexcept>
 #include <thread>
 
@@ -162,6 +163,7 @@ class PausingSolver final : public BgpSolver {
     for (uint64_t i = 0; i < total_; ++i) {
       if (next_pause < pauses_.size() && i == pauses_[next_pause]) {
         ++next_pause;
+        reached_.fetch_add(1);
         while (released_.load() < next_pause) {
           if (auto st = control.Check(); !st.ok()) return st;
           std::this_thread::sleep_for(milliseconds(1));
@@ -176,11 +178,14 @@ class PausingSolver final : public BgpSolver {
   const rdf::Dictionary& dict() const override { return dict_; }
   void Release() const { released_.fetch_add(1); }
   uint64_t emitted() const { return emitted_.load(); }
+  /// Pauses entered so far (every row before the pause has been emitted).
+  size_t pauses_reached() const { return reached_.load(); }
 
  private:
   const rdf::Dictionary& dict_;
   const uint64_t total_;
   const std::vector<uint64_t> pauses_;
+  mutable std::atomic<size_t> reached_{0};
   mutable std::atomic<size_t> released_{0};
   mutable std::atomic<uint64_t> emitted_{0};
 };
@@ -190,6 +195,18 @@ ExecOptions Streaming(uint32_t capacity) {
   opts.streaming = true;
   opts.channel_capacity = capacity;
   return opts;
+}
+
+/// Polls `done` until it holds or 30 s pass; false on timeout, so a
+/// regression fails the test instead of hanging it.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline = steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -400,6 +417,66 @@ TEST(StreamingBlocks, NextHandsOverEarlyToAWaitingRowReader) {
   while (cursor.value().Next(&row)) ++n;
   EXPECT_EQ(n, 20u);
   EXPECT_TRUE(cursor.value().status().ok());
+}
+
+TEST(StreamingBlocks, NextTakesRowsTheProducerHoldsWhileItPauses) {
+  rdf::Dataset ds = TinyData();
+  // Rows 1-3, then a pause that lasts until the test ends it, then 4-6.
+  PausingSolver solver(ds.dict(), 6, {3});
+  QueryEngine engine(&solver);
+  auto cursor = engine.Open(kPairQuery, Streaming(64));  // blocks of 16
+  ASSERT_TRUE(cursor.ok());
+  Row row;
+  ASSERT_TRUE(cursor.value().Next(&row));
+  // Nobody waited while rows 2 and 3 were produced, so they sit in the
+  // producer's open block; the producer now pauses with them.
+  ASSERT_TRUE(WaitFor([&] { return solver.pauses_reached() == 1; }));
+  for (int r = 2; r <= 3; ++r) {
+    auto next = std::async(std::launch::async, [&] { return cursor.value().Next(&row); });
+    const bool arrived = next.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+    if (!arrived) solver.Release();  // lets the stuck Next return, so the test ends
+    ASSERT_TRUE(arrived) << "row " << r << " waited for the producer's pause to end";
+    ASSERT_TRUE(next.get());
+  }
+  EXPECT_EQ(solver.emitted(), 3u);  // both rows came while the pause lasted
+  solver.Release();
+  uint64_t n = 3;
+  while (cursor.value().Next(&row)) ++n;
+  EXPECT_EQ(n, 6u);
+  EXPECT_TRUE(cursor.value().status().ok());
+}
+
+TEST(StreamingBlocks, OpenCursorsDrainInAnyOrder) {
+  rdf::Dataset ds = TinyData();
+  CountingSolver solver(ds.dict(), 200);
+  QueryEngine engine(&solver);
+  Row row;
+  std::vector<Row> materialized;
+  {
+    auto cursor = engine.Open(kPairQuery);
+    ASSERT_TRUE(cursor.ok());
+    while (cursor.value().Next(&row)) materialized.push_back(row);
+  }
+  // Three producers at once, each soon parked on its full one-row channel:
+  // each needs a thread of its own, or draining the last-opened cursor
+  // first would wait forever. The deadline turns such a wait into a
+  // failure.
+  ExecOptions opts = Streaming(1);
+  opts.deadline = steady_clock::now() + std::chrono::seconds(30);
+  std::vector<Cursor> cursors;
+  std::vector<std::vector<Row>> rows(3);
+  for (int i = 0; i < 3; ++i) {
+    auto cursor = engine.Open(kPairQuery, opts);
+    ASSERT_TRUE(cursor.ok());
+    cursors.push_back(std::move(cursor.value()));
+    ASSERT_TRUE(cursors.back().Next(&row));  // starts this cursor's producer
+    rows[i].push_back(row);
+  }
+  for (int i = 2; i >= 0; --i) {
+    while (cursors[i].Next(&row)) rows[i].push_back(row);
+    EXPECT_TRUE(cursors[i].status().ok()) << cursors[i].status().message();
+    EXPECT_EQ(rows[i], materialized) << "cursor " << i;
+  }
 }
 
 TEST(StreamingBlocks, NextBlockHandoffsFallAtFixedRowCounts) {

@@ -1,13 +1,18 @@
-// Unit tests for util/: sorted-set kernels, RNG, parallel-for, channel.
+// Unit tests for util/: sorted-set kernels, RNG, parallel-for, thread cache,
+// channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <numeric>
 #include <thread>
 
 #include "util/channel.hpp"
 #include "util/rng.hpp"
 #include "util/sorted.hpp"
+#include "util/thread_cache.hpp"
 #include "util/thread_pool.hpp"
 
 namespace turbo::util {
@@ -173,6 +178,116 @@ TEST(ParallelFor, SequentialFallback) {
 
 TEST(ParallelFor, ZeroTotalIsNoop) {
   ParallelForDynamic(4, 0, 8, [&](uint64_t, uint64_t, uint32_t) { FAIL(); });
+  ParallelForStatic(4, 0, [&](uint64_t, uint64_t, uint32_t) { FAIL(); });
+}
+
+TEST(ParallelFor, StaticCoversAllIndicesOnceWithWorkersInRange) {
+  // More workers than items leaves some slices empty; none may run twice.
+  for (uint64_t total : {1000u, 3u}) {
+    std::vector<std::atomic<int>> hits(total);
+    std::atomic<uint32_t> bad_worker{0};
+    ParallelForStatic(4, total, [&](uint64_t b, uint64_t e, uint32_t tid) {
+      if (tid >= 4) bad_worker.store(tid + 1);
+      for (uint64_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "total " << total;
+    EXPECT_EQ(bad_worker.load(), 0u) << "total " << total;
+  }
+}
+
+TEST(ParallelFor, DynamicWorkerIdsInRange) {
+  std::atomic<uint32_t> max_tid{0};
+  ParallelForDynamic(3, 500, 1, [&](uint64_t, uint64_t, uint32_t tid) {
+    uint32_t seen = max_tid.load();
+    while (tid > seen && !max_tid.compare_exchange_weak(seen, tid)) {
+    }
+  });
+  EXPECT_LT(max_tid.load(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// ThreadCache. Tests use the process-wide cache, as production code does;
+// gtest runs them one at a time, and every earlier task has been joined.
+// ---------------------------------------------------------------------------
+
+/// Polls `done` until it holds or 30 s pass; false on timeout, so a broken
+/// cache fails the test instead of hanging it.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ThreadCache, SequentialRunsReuseOneParkedThread) {
+  ThreadCache& cache = ThreadCache::Global();
+  std::thread::id first;
+  cache.Run([&] { first = std::this_thread::get_id(); }).Join();
+  const uint64_t started = cache.threads_started();
+  // A joined task's thread is parked again before the join returns, so
+  // the next task finds it waiting.
+  for (int i = 0; i < 20; ++i) {
+    std::thread::id id;
+    cache.Run([&] { id = std::this_thread::get_id(); }).Join();
+    EXPECT_EQ(id, first) << "run " << i;
+    EXPECT_NE(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(cache.threads_started(), started);
+  EXPECT_GE(cache.parked(), 1u);
+}
+
+TEST(ThreadCache, GrowsForBlockedTasksThenParksAtMostHardwareConcurrency) {
+  ThreadCache& cache = ThreadCache::Global();
+  EXPECT_EQ(cache.max_parked(), std::max(1u, std::thread::hardware_concurrency()));
+  constexpr int kTasks = 16;
+  const uint64_t started = cache.threads_started();
+  const size_t parked = cache.parked();
+  // Every task blocks until all of them are running: a cache that queued
+  // work behind busy threads would never open the gate.
+  std::atomic<int> running{0};
+  std::atomic<bool> gate{false};
+  std::vector<ThreadCache::Handle> handles;
+  for (int i = 0; i < kTasks; ++i) {
+    handles.push_back(cache.Run([&] {
+      running.fetch_add(1);
+      WaitFor([&] { return gate.load(); });
+    }));
+  }
+  const bool all_running = WaitFor([&] { return running.load() == kTasks; });
+  gate.store(true);
+  for (auto& h : handles) h.Join();
+  ASSERT_TRUE(all_running) << running.load() << " of " << kTasks << " tasks ran";
+  EXPECT_GE(cache.threads_started() - started, kTasks - parked);
+  EXPECT_LE(cache.parked(), cache.max_parked());
+}
+
+TEST(ThreadCache, HandleJoinsAfterItsLauncherIsGone) {
+  // The launching object dies first; the handle alone still waits for the
+  // task, and by the time Join returns the task's captures are destroyed.
+  struct Launcher {
+    std::vector<int> data{1, 2, 3, 4};
+    ThreadCache::Handle Launch(std::atomic<int>* sum, std::shared_ptr<int> token) {
+      return ThreadCache::Global().Run([copy = data, sum, token] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        sum->store(std::accumulate(copy.begin(), copy.end(), 0));
+      });
+    }
+  };
+  std::atomic<int> sum{0};
+  auto token = std::make_shared<int>(0);
+  ThreadCache::Handle handle;
+  {
+    auto launcher = std::make_unique<Launcher>();
+    handle = launcher->Launch(&sum, token);
+  }
+  EXPECT_TRUE(handle.joinable());
+  handle.Join();
+  EXPECT_FALSE(handle.joinable());
+  EXPECT_EQ(sum.load(), 10);
+  EXPECT_EQ(token.use_count(), 1) << "the task's captures outlived the join";
 }
 
 using IntChannel = Channel<int>;
@@ -390,6 +505,47 @@ TEST(Channel, ConsumerWaitingIsVisibleToTheProducer) {
   ASSERT_EQ(ch.Push(7), Channel<int>::Op::kOk);
   EXPECT_FALSE(ch.consumer_waiting());  // the push satisfied the wait
   consumer.join();
+}
+
+TEST(Channel, AnnouncingConsumerTakesWhatTheProducerHolds) {
+  Channel<int> ch(4);
+  int held = 7;  // a unit the producer holds without pushing it
+  ch.SetTake([&](int* out) {
+    if (held == 0) return size_t{0};
+    *out = held;
+    held = 0;
+    return size_t{1};
+  });
+  ch.Push(1);
+  int v = 0;
+  // Queued items come first; only an empty channel makes the consumer take.
+  ASSERT_EQ(ch.Pop(&v, Channel<int>::Wait::kAnnounce), Channel<int>::Op::kOk);
+  EXPECT_EQ(v, 1);
+  ASSERT_EQ(ch.Pop(&v, Channel<int>::Wait::kAnnounce), Channel<int>::Op::kOk);
+  EXPECT_EQ(v, 7);
+  EXPECT_EQ(ch.size(), 1u);  // the taken unit counts as popped
+  EXPECT_FALSE(ch.consumer_waiting());
+  ch.CloseProducer();
+  EXPECT_EQ(ch.Pop(&v, Channel<int>::Wait::kAnnounce), Channel<int>::Op::kClosed);
+}
+
+TEST(Channel, QuietConsumerTakesNothing) {
+  Channel<int> ch(4);
+  std::atomic<bool> asked{false};
+  ch.SetTake([&](int* out) {
+    asked.store(true);
+    *out = 99;
+    return size_t{1};
+  });
+  std::thread consumer([&] {
+    int v = 0;
+    EXPECT_EQ(ch.Pop(&v, Channel<int>::Wait::kQuiet), Channel<int>::Op::kOk);
+    EXPECT_EQ(v, 7);  // the pushed item, never the held one
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(ch.Push(7), Channel<int>::Op::kOk);
+  consumer.join();
+  EXPECT_FALSE(asked.load());
 }
 
 TEST(Channel, QuietConsumerParksUnseen) {
