@@ -40,6 +40,7 @@
 // those counts (the `sparql_shell --explain` output).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -618,43 +619,93 @@ class CollectOp final : public RowOp {
   std::vector<Row>* out_;
 };
 
-/// Rows a streaming producer has appended for a row reader but not yet
-/// handed over. Take() moves them to the reader when it finds the delivery
-/// channel empty (registered with Channel::SetTake), so a producer that
-/// stalls after appending never withholds a row the reader waits for.
-struct StagedRows {
-  std::mutex mu;
-  RowBlock rows;  ///< guarded by mu
+/// A streaming producer's open block: the rows it has appended but not yet
+/// handed over. The producer appends without locking and publishes each
+/// row with one atomic store. A consumer that finds the delivery channel
+/// empty copies the published rows out itself (Take, registered with
+/// Channel::SetTake), so a producer that stalls after appending never
+/// withholds a row the consumer waits for. The storage is sized for a whole
+/// block at the first row and never moves, so the consumer copies published
+/// rows while the producer writes the next ones behind them; the mutex only
+/// orders a take against a hand-over.
+class StagedRows {
+ public:
+  explicit StagedRows(size_t block_rows) : block_rows_(block_rows) {}
 
-  /// Moves the staged rows, if any, into *out (whose contents are
-  /// discarded; its storage goes back to the producer); returns how many
-  /// there were.
-  size_t Take(RowBlock* out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (rows.empty()) return 0;
-    std::swap(*out, rows);
-    rows.Clear();
-    return out->size();
+  StagedRows(const StagedRows&) = delete;
+  StagedRows& operator=(const StagedRows&) = delete;
+
+  /// Producer: rows appended since the last HandOff, taken ones included.
+  size_t size() const { return rows_; }
+
+  /// Producer: appends one row; at most block_rows between two HandOffs.
+  /// The first row fixes the width (one execution delivers one projection).
+  void Append(const Row& r) {
+    if (!sized_) {
+      width_ = r.size();
+      cells_.resize(block_rows_ * width_);
+      sized_ = true;
+    }
+    std::copy(r.begin(), r.end(), cells_.begin() + rows_ * width_);
+    ++rows_;
+    // Sequentially consistent, like the consumer's announcement in
+    // Channel::Pop: either the consumer's take sees this row, or the
+    // producer's next consumer_waiting() sees the consumer waiting.
+    published_.store(rows_, std::memory_order_seq_cst);
   }
+
+  /// Producer: moves the rows no take has claimed into *out (emptied
+  /// first) and starts the next block.
+  void HandOff(RowBlock* out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    out->Clear();
+    out->Append(Run(taken_, rows_));
+    rows_ = taken_ = 0;
+    published_.store(0, std::memory_order_relaxed);
+  }
+
+  /// Consumer, under the channel's lock: copies the published rows no take
+  /// has claimed into *out (whose contents are discarded); returns how many.
+  size_t Take(RowBlock* out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t published = published_.load(std::memory_order_seq_cst);
+    if (published == taken_) return 0;
+    out->Clear();
+    out->Append(Run(taken_, published));
+    const size_t took = published - taken_;
+    taken_ = published;
+    return took;
+  }
+
+ private:
+  RowRange Run(size_t begin, size_t end) const {
+    return {cells_.data() + begin * width_, end - begin, width_};
+  }
+
+  // Grouped by writer, one cache line each, so the producer's per-row
+  // writes and the consumer's takes do not invalidate each other's lines.
+  const size_t block_rows_;
+  std::vector<TermId> cells_;  ///< block_rows x width, resized once
+  size_t width_ = 0;
+  bool sized_ = false;
+  alignas(64) size_t rows_ = 0;  ///< producer-only
+  alignas(64) std::atomic<size_t> published_{0};
+  alignas(64) std::mutex mu_;
+  size_t taken_ = 0;  ///< rows [0, taken_) are the consumer's; guarded by mu_
 };
 
 /// Root sink for streaming cursors: appends each delivered row to the
-/// producer's open RowBlock and hands whole blocks to the bounded delivery
+/// producer's StagedRows block and hands blocks to the bounded delivery
 /// channel, blocking while the consumer lags. A block is handed over when it
 /// holds `block_rows` rows, or earlier when the consumer is parked waiting
 /// for a row (Cursor::Next; a block reader waits quietly), and the first
 /// row is always handed over alone — so neither the first row nor any row
-/// a row reader is already waiting for is held back to fill a block.
-/// Flush() hands over what is left when the pipeline ends
-/// (however it ends: rows delivered before a failure remain valid). Emptied
-/// blocks come back through the channel, so the steady state allocates
-/// nothing.
-///
-/// For a row reader the open block is `staged` (non-null): rows are appended
-/// under its mutex, and the reader takes them itself when it parks on an
-/// empty channel. The announcement check runs under the same mutex, so a
-/// row appended after a reader's take sees the reader waiting and goes out
-/// at once. A block reader's open block stays private and lock-free.
+/// a row reader is already waiting for is held back to fill a block. A row
+/// reader that parks on an empty channel also takes the staged rows itself,
+/// so the rows of a producer stalled mid-block still reach it. Flush() hands
+/// over what is left when the pipeline ends (however it ends: rows
+/// delivered before a failure remain valid). Emptied blocks come back
+/// through the channel, so the steady state allocates nothing.
 ///
 /// A channel closed by the consumer — the cursor was abandoned — reads as a
 /// plain kStop, the same unwind LIMIT pushdown uses, so teardown terminates
@@ -679,49 +730,36 @@ class ChannelSink final : public RowOp {
         staged_(staged) {}
 
   EmitResult DoPush(const Row& row) override {
-    if (!staged_) {
-      open_.Append(row);
-      return HandNow(open_.size()) ? Hand() : EmitResult::kContinue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(staged_->mu);
-      staged_->rows.Append(row);
-      if (!HandNow(staged_->rows.size())) return EmitResult::kContinue;
-      std::swap(open_, staged_->rows);  // open_ is empty between handoffs
-    }
-    return Hand();
+    staged_->Append(row);
+    return HandNow() ? Hand() : EmitResult::kContinue;
   }
 
-  /// Hands over the open block, if it holds any rows.
+  /// Hands over the staged rows, if any.
   void Flush() {
-    if (staged_) {
-      std::lock_guard<std::mutex> lock(staged_->mu);
-      std::swap(open_, staged_->rows);
-    }
-    if (!open_.empty()) Hand();
+    if (staged_->size() > 0) Hand();
   }
 
  private:
-  bool HandNow(size_t open_rows) const {
+  bool HandNow() const {
     // The first row always goes out on its own: the consumer may not have
     // parked yet, and time-to-first-row must not wait for a second row.
-    return open_rows >= block_rows_ || rows_in() == 1 || channel_->consumer_waiting();
+    return staged_->size() >= block_rows_ || rows_in() == 1 ||
+           channel_->consumer_waiting();
   }
 
   EmitResult Hand() {
+    staged_->HandOff(&out_);
+    if (out_.empty()) return EmitResult::kContinue;  // a take claimed them all
     const EvalControl& c = state()->control;
     const bool needs_probe = c.cancel != nullptr || c.has_deadline();
-    const size_t rows = open_.size();
-    auto op = needs_probe ? channel_->Push(&open_, rows,
+    const size_t rows = out_.size();
+    auto op = needs_probe ? channel_->Push(&out_, rows,
                                            [&c] {
                                              return c.abandoned() || c.cancelled() ||
                                                     c.expired();
                                            })
-                          : channel_->Push(&open_, rows);
-    if (op == util::Channel<RowBlock>::Op::kOk) {
-      open_.Clear();  // a recycled block (or a fresh one) took its place
-      return EmitResult::kContinue;
-    }
+                          : channel_->Push(&out_, rows);
+    if (op == util::Channel<RowBlock>::Op::kOk) return EmitResult::kContinue;
     if (op == util::Channel<RowBlock>::Op::kAborted)
       state()->Fail(state()->control.Check(),
                     CauseOf(state()->control, StopCause::kProducerFailed));
@@ -731,7 +769,7 @@ class ChannelSink final : public RowOp {
   util::Channel<RowBlock>* channel_;
   const size_t block_rows_;
   StagedRows* staged_;
-  RowBlock open_;  ///< rows not yet handed over (the block being handed, if staged)
+  RowBlock out_;  ///< the block being handed over; a recycled one after each push
 };
 
 }  // namespace turbo::sparql

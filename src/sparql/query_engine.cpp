@@ -314,19 +314,16 @@ struct Cursor::State {
   RowBlock block;               ///< consumer-side: the block being read
   size_t block_pos = 0;         ///< consumer-side: next unread row of `block`
   bool delivered = false;       ///< consumer-side: some block has arrived
-  bool row_reader = false;      ///< first read was Next: the open block is `staged`
-  StagedRows staged;            ///< a row reader's open block (see ChannelSink)
+  std::unique_ptr<StagedRows> staged;  ///< the producer's open block (see ChannelSink)
   util::ThreadCache::Handle producer;
   std::atomic<bool> abandoned{false};
   std::atomic<bool> producer_done{false};
   bool stream_ended = false;  ///< consumer-side: status/counters settled
 
   ~State();
-  /// First use: Run() or StartStreaming(). `row_reader`: the first read is
-  /// row by row (Next), so the producer's open block is made takeable.
-  void Start(bool row_reader);
-  void Run();  // materialized execution (sink = CollectOp)
-  void StartStreaming(bool first_read_by_row);  // create the channel, start the producer
+  void Start();  // first use: Run() or StartStreaming()
+  void Run();    // materialized execution (sink = CollectOp)
+  void StartStreaming();  // create the channel, start the producer
   /// Consumer-side: pops the next block into `block`, parking with `wait`
   /// while the channel is empty. False at the end of the stream (or on the
   /// consumer's own cancel/deadline), after Settle.
@@ -426,15 +423,15 @@ void Cursor::State::Run() {
   peak_buffered = st.peak_buffered;
 }
 
-void Cursor::State::Start(bool row_reader) {
+void Cursor::State::Start() {
   if (ran) return;
   if (opts.streaming)
-    StartStreaming(row_reader);
+    StartStreaming();
   else
     Run();
 }
 
-void Cursor::State::StartStreaming(bool first_read_by_row) {
+void Cursor::State::StartStreaming() {
   ran = true;
   // The channel counts rows in handed-over blocks; the producer's open
   // block holds up to block_rows more. Sizing the channel at capacity -
@@ -444,11 +441,10 @@ void Cursor::State::StartStreaming(bool first_read_by_row) {
   const size_t capacity = std::max<uint32_t>(1, opts.channel_capacity);
   block_rows = BlockRows(capacity);
   channel = std::make_unique<util::Channel<RowBlock>>(capacity - block_rows + 1);
-  // A row reader takes the producer's open block when it finds the channel
-  // empty; a block reader waits for whole blocks.
-  row_reader = first_read_by_row;
-  if (row_reader)
-    channel->SetTake([this](RowBlock* out) { return staged.Take(out); });
+  // A Next that finds the channel empty takes the producer's staged rows;
+  // a NextBlock waits quietly for whole blocks and never takes.
+  staged = std::make_unique<StagedRows>(block_rows);
+  channel->SetTake([this](RowBlock* out) { return staged->Take(out); });
   // Streaming executions intern computed terms on the producer while the
   // consumer resolves already-delivered rows, so the shared vocab must
   // exist before the producer starts (LocalVocab itself synchronizes the
@@ -543,8 +539,7 @@ void Cursor::State::RunPipeline(bool streaming) {
   // ---- Build the modifier chain, back to front. ----
   RowOp* cur = nullptr;
   if (streaming) {
-    sink = pipe.Make<ChannelSink>(channel.get(), block_rows,
-                                  row_reader ? &staged : nullptr, st);
+    sink = pipe.Make<ChannelSink>(channel.get(), block_rows, staged.get(), st);
     cur = sink;
   } else {
     cur = pipe.Make<CollectOp>(&rows, st);
@@ -700,7 +695,7 @@ bool Cursor::State::NextStreamBlock(util::Channel<RowBlock>::Wait wait) {
 bool Cursor::Next(Row* row) {
   if (!state_) return false;
   State& s = *state_;
-  s.Start(/*row_reader=*/true);
+  s.Start();
   if (s.opts.streaming) {
     // A row reader wants each row the moment it exists: a parked Next
     // announces itself and takes the producer's open block, and a row the
@@ -722,7 +717,7 @@ bool Cursor::Next(Row* row) {
 bool Cursor::NextBlock(RowRange* rows) {
   if (!state_) return false;
   State& s = *state_;
-  s.Start(/*row_reader=*/false);
+  s.Start();
   if (s.opts.streaming) {
     // A block reader waits quietly for whole blocks, so the handoffs fall
     // at fixed row counts (the first row, then every block_rows) instead of
@@ -772,18 +767,22 @@ std::shared_ptr<const LocalVocab> Cursor::local_vocab() const {
 std::string Cursor::Explain() {
   if (!state_) return "(no query)\n";
   State& s = *state_;
-  s.Start(/*row_reader=*/true);
+  s.Start();
   // A still-running streaming producer is still advancing the per-operator
   // counts; they are atomics, so render them as they stand. Every row the
   // consumer has received was counted by every operator on its way into the
   // channel (or the staged block) before it was handed over, so the counts
-  // cover every row seen. The first delivered block also shows that the
-  // tree, built before any row flowed, is complete. producer_done is a
-  // release store after the pipeline's last write, so once observed the
-  // counts are final even before Settle runs.
+  // cover every row seen. They are read one operator at a time while rows
+  // flow, so they need not agree with each other: an operator read later
+  // may show more rows than its upstream. The first delivered block also
+  // shows that the tree, built before any row flowed, is complete.
+  // producer_done is a release store after the pipeline's last write, so
+  // once observed the counts are final even before Settle runs.
   if (s.opts.streaming && !s.producer_done.load(std::memory_order_acquire)) {
     if (!s.delivered) return "(streaming execution in progress; no rows delivered yet)\n";
-    return "(streaming snapshot of live counts; still advancing)\n" + ExplainChain(s.pipe.head);
+    return "(streaming, still running: live counts, read one operator at a time, so "
+           "an operator may show more rows than its upstream)\n" +
+           ExplainChain(s.pipe.head);
   }
   if (!s.pipe.head) return "(not executed: empty LIMIT or pre-run stop)\n";
   return ExplainChain(s.pipe.head);

@@ -158,12 +158,9 @@ class Cursor {
   /// status() to distinguish completion from an error). In streaming mode
   /// this blocks until a row is available, the stream ends, or the caller's
   /// cancel/deadline fires (the waits are timeout-aware on both channel
-  /// ends). A streaming cursor whose first read is Next is a row reader:
-  /// when Next finds no delivered row, it takes the rows the producer has
-  /// appended but not yet handed over, so a producer that stalls mid-block
-  /// never holds back a row that exists. (On a cursor first read with
-  /// NextBlock, a later Next gets a partial block only when the producer
-  /// appends a row while Next waits.)
+  /// ends). When a streaming Next finds no delivered row, it takes the
+  /// rows the producer has appended but not yet handed over, so a producer
+  /// that stalls mid-block never holds back a row that exists.
   bool Next(Row* row);
 
   /// Block-level read: points `*rows` at every delivered row not yet read

@@ -44,6 +44,13 @@ class RowBlock {
     cells_.insert(cells_.end(), r.begin(), r.end());
     ++rows_;
   }
+  /// Appends a run of rows; an empty block takes the run's width.
+  void Append(RowRange run) {
+    if (run.rows == 0) return;
+    if (rows_ == 0) width_ = run.width;
+    cells_.insert(cells_.end(), run.cells, run.cells + run.rows * run.width);
+    rows_ += run.rows;
+  }
   /// Empties the block, keeping its storage.
   void Clear() {
     cells_.clear();

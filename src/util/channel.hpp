@@ -168,9 +168,11 @@ class Channel {
   }
 
   /// True while the consumer is parked on an empty channel with
-  /// Wait::kAnnounce. A relaxed read with no lock: a stale answer only
-  /// moves a partial handoff by one item.
-  bool consumer_waiting() const { return waiting_.load(std::memory_order_relaxed); }
+  /// Wait::kAnnounce. Read with no lock; a stale true only moves a partial
+  /// handoff by one item. The read is sequentially consistent with the
+  /// announcement, so a producer that publishes a unit (seq_cst) before
+  /// asking either sees the consumer waiting or has its unit taken.
+  bool consumer_waiting() const { return waiting_.load(std::memory_order_seq_cst); }
 
   /// End of stream: the consumer drains what is buffered, then sees kClosed.
   void CloseProducer() {
@@ -261,7 +263,7 @@ class Channel {
   /// producer (kAnnounce only), then takes what the producer holds. True
   /// when *out now holds taken units. Called with the lock held.
   bool AnnounceAndTake(T* out, Wait wait) {
-    waiting_.store(wait == Wait::kAnnounce, std::memory_order_relaxed);
+    waiting_.store(wait == Wait::kAnnounce, std::memory_order_seq_cst);
     if (wait != Wait::kAnnounce || !take_) return false;
     // A recycled item goes in, so the take can leave the producer an item
     // that already has storage.
@@ -270,8 +272,8 @@ class Channel {
       *out = std::move(free_.back());
       free_.pop_back();
     }
-    // A producer appending after this take sees the announcement (the take
-    // function synchronizes with it), so it hands over instead of holding.
+    // A unit the take misses was published after the announcement, so the
+    // producer that published it sees the consumer waiting and hands over.
     const size_t units = take_(out);
     if (units == 0) {
       if (recycled) free_.push_back(std::move(*out));
@@ -329,7 +331,9 @@ class Channel {
   uint64_t timed_wait_slices_ = 0;
   bool producer_closed_ = false;
   bool consumer_closed_ = false;
-  std::atomic<bool> waiting_{false};
+  // Its own cache line: the producer reads it per unit, and the consumer's
+  // bookkeeping above must not invalidate it on every pop.
+  alignas(64) std::atomic<bool> waiting_{false};
   std::function<size_t(T*)> take_;
 };
 

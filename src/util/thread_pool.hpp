@@ -3,8 +3,8 @@
 // chunks claimed from a shared atomic cursor, so skewed candidate-region
 // sizes (the "universities with very different numbers of students" problem)
 // do not unbalance the threads. The calling thread works as worker 0 and
-// the other workers run on the process-wide ThreadCache, so a parallel
-// match starts no thread of its own.
+// the other workers run on the process-wide ThreadCache, so neither a
+// parallel match nor an ingestion stage starts a thread of its own.
 //
 // NUMA substitution note: the paper pins threads to sockets and interleaves
 // graph pages across sockets. This VM exposes a single memory domain, so the
@@ -13,120 +13,37 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "util/thread_cache.hpp"
 
 namespace turbo::util {
 
-/// Persistent work-queue thread pool: workers are spawned once and reused
-/// across stages, so a multi-stage pipeline (parse -> merge -> remap ->
-/// graph-build) pays thread start-up once instead of per stage. Tasks
-/// receive the executing worker's stable index [0, size()); one worker runs
-/// its tasks sequentially, so per-worker scratch indexed by that id needs no
-/// locking. With num_threads <= 1 no workers are spawned and everything runs
-/// inline on the caller.
+/// The worker count of a multi-stage parallel job (the ingestion pipeline:
+/// parse -> merge -> remap -> graph-build), passed down through its stages.
+/// It owns no threads: each ParallelFor runs the caller as worker 0 and the
+/// other workers on the process-wide ThreadCache, whose threads park
+/// between stages, so the stages pay thread start-up at most once per
+/// process. Workers receive a stable index [0, size()) for the duration of
+/// one ParallelFor, so per-worker scratch indexed by it needs no locking.
 class ThreadPool {
  public:
-  explicit ThreadPool(uint32_t num_threads) {
-    if (num_threads <= 1) return;
-    workers_.reserve(num_threads);
-    for (uint32_t t = 0; t < num_threads; ++t)
-      workers_.emplace_back([this, t] { WorkerLoop(t); });
-  }
+  explicit ThreadPool(uint32_t num_threads) : size_(num_threads > 1 ? num_threads : 1) {}
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  ~ThreadPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
+  uint32_t size() const { return size_; }
 
-  /// Number of workers (1 for the inline pool).
-  uint32_t size() const { return workers_.empty() ? 1 : static_cast<uint32_t>(workers_.size()); }
-
-  /// Enqueues a task; it runs on some worker (or inline for a 1-thread pool).
-  void Submit(std::function<void(uint32_t)> task) {
-    if (workers_.empty()) {
-      task(0);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(task));
-      ++pending_;
-    }
-    cv_.notify_one();
-  }
-
-  /// Blocks until every submitted task has finished.
-  void WaitIdle() {
-    if (workers_.empty()) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return pending_ == 0; });
-  }
-
-  /// Pool-backed parallel-for with dynamic chunking: fn(begin, end, worker)
-  /// over [0, total) in chunks of `chunk` claimed from a shared cursor.
-  /// Blocks until the whole range is processed. Must not be called
-  /// concurrently with other Submit/ParallelFor uses of the same pool.
+  /// fn(begin, end, worker) over [0, total) in chunks of `chunk` claimed
+  /// from a shared cursor (ParallelForDynamic). Blocks until the whole
+  /// range is processed.
   void ParallelFor(uint64_t total, uint64_t chunk,
-                   const std::function<void(uint64_t, uint64_t, uint32_t)>& fn) {
-    if (total == 0) return;
-    if (chunk == 0) chunk = 1;
-    if (workers_.empty()) {
-      for (uint64_t b = 0; b < total; b += chunk) fn(b, std::min(b + chunk, total), 0);
-      return;
-    }
-    std::atomic<uint64_t> cursor{0};
-    auto drain = [&cursor, total, chunk, &fn](uint32_t worker) {
-      for (;;) {
-        uint64_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= total) break;
-        fn(begin, std::min(begin + chunk, total), worker);
-      }
-    };
-    for (uint32_t t = 0; t < size(); ++t) Submit(drain);
-    WaitIdle();
-  }
+                   const std::function<void(uint64_t, uint64_t, uint32_t)>& fn) const;
 
  private:
-  void WorkerLoop(uint32_t index) {
-    for (;;) {
-      std::function<void(uint32_t)> task;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stopping_ and drained
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      task(index);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0) idle_cv_.notify_all();
-      }
-    }
-  }
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_;       ///< work available / stopping
-  std::condition_variable idle_cv_;  ///< pending_ reached zero
-  std::deque<std::function<void(uint32_t)>> queue_;
-  uint64_t pending_ = 0;
-  bool stopping_ = false;
+  uint32_t size_;
 };
 
 /// Runs fn(begin, end, thread_index) over [0, total) split into dynamic
@@ -147,6 +64,12 @@ inline void ParallelForDynamic(uint32_t num_threads, uint64_t total, uint64_t ch
       fn(begin, std::min(begin + chunk, total), tid);
     }
   });
+}
+
+inline void ThreadPool::ParallelFor(
+    uint64_t total, uint64_t chunk,
+    const std::function<void(uint64_t, uint64_t, uint32_t)>& fn) const {
+  ParallelForDynamic(size_, total, chunk, fn);
 }
 
 /// Static pre-partitioned variant: thread t processes the contiguous slice

@@ -442,7 +442,9 @@ TEST(EngineParallel, ParallelMatchesSequential) {
     opt.num_threads = threads;
     opt.chunk_size = 3;
     Matcher par(t.g(), opt);
-    EXPECT_EQ(AsSet(par.FindAll(q)), expected) << threads << " threads";
+    MatchStats st;
+    EXPECT_EQ(AsSet(par.FindAll(q, &st)), expected) << threads << " threads";
+    EXPECT_EQ(st.arena_workers, threads) << threads << " threads";
   }
 
   // Static pre-partitioning (the §5.2 ablation path) must agree too.
@@ -450,7 +452,9 @@ TEST(EngineParallel, ParallelMatchesSequential) {
   stat.num_threads = 4;
   stat.dynamic_chunking = false;
   Matcher par_static(t.g(), stat);
-  EXPECT_EQ(AsSet(par_static.FindAll(q)), expected);
+  MatchStats static_stats;
+  EXPECT_EQ(AsSet(par_static.FindAll(q, &static_stats)), expected);
+  EXPECT_EQ(static_stats.arena_workers, 4u);
 }
 
 // ---------------------------------------------------------------------------

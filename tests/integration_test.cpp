@@ -134,15 +134,17 @@ TEST(Integration, ParallelCallbackStillDeliversAll) {
   testing::AddQE(&q, u0, u1, t.el("p"));
   engine::MatchOptions opt;
   opt.num_threads = 4;
+  opt.chunk_size = 1;  // three starts: one chunk each, so three workers run
   engine::Matcher m(t.g(), opt);
   // Parallel runs stream directly from worker threads, serialized by the
   // engine's delivery mutex — the callback never runs concurrently.
   size_t calls = 0;
-  m.Match(q, [&](std::span<const VertexId>) {
+  engine::MatchStats stats = m.Match(q, [&](std::span<const VertexId>) {
     ++calls;
     return true;
   });
   EXPECT_EQ(calls, 3u);
+  EXPECT_GT(stats.arena_workers, 1u) << "the run did not fan out";
 }
 
 TEST(Integration, WriteNTriplesIncludesInferredWhenAsked) {

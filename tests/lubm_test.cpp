@@ -170,6 +170,12 @@ TEST_F(LubmTest, ParallelAgreesWithSequential) {
     opt.chunk_size = 4;
     sparql::TurboBgpSolver par(*g_aware_, ds_->dict(), opt);
     EXPECT_EQ(Run(par, queries[qi]), expected) << "Q" << qi + 1;
+    // One Match call: more than one arena means the workers fanned out. Q2
+    // starts from the one university (one worker is all it can use), and Q6
+    // has one query vertex, answered from the label list by no worker.
+    if (qi == 8) {
+      EXPECT_GT(par.last_stats().arena_workers, 1u) << "Q" << qi + 1;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 //   P6. simple-entailment answers are a subset of full-entailment answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "baseline/solvers.hpp"
@@ -186,10 +187,14 @@ TEST_P(EngineProperty, ParallelEqualsSequential) {
   std::set<std::vector<VertexId>> expected(sols.begin(), sols.end());
   engine::MatchOptions o;
   o.num_threads = 4;
-  o.chunk_size = 2;
-  auto par = engine::Matcher(w.g, o).FindAll(q);
+  o.chunk_size = 1;  // small worlds: one start per chunk keeps every worker busy
+  engine::MatchStats st;
+  auto par = engine::Matcher(w.g, o).FindAll(q, &st);
   EXPECT_EQ(std::set<std::vector<VertexId>>(par.begin(), par.end()), expected);
   EXPECT_EQ(par.size(), sols.size());  // bag sizes too, not just sets
+  if (st.num_start_candidates > 1) {
+    EXPECT_EQ(st.arena_workers, std::min<uint64_t>(4, st.num_start_candidates));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineProperty, ::testing::Range<uint64_t>(1, 21));

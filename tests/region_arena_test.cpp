@@ -322,7 +322,10 @@ TEST(ArenaReuse, SharedPoolAcrossDatasetsDoesNotLeakCandidates) {
     }
     fresh_counts.push_back(with_fresh);
   }
-  // Parallel workers from the same pool, still isolated per worker.
+  // Parallel workers from the same pool, still isolated per worker. These
+  // graphs have a handful of start vertices, so one start per chunk is what
+  // gives every worker something to do (the fan-out is capped by chunks).
+  int parallel_rounds = 0;
   for (int round = 0; round < 4; ++round) {
     util::Rng rng(900 + round);
     rdf::Dataset ds = MakeRandomDataset(rng);
@@ -331,9 +334,17 @@ TEST(ArenaReuse, SharedPoolAcrossDatasetsDoesNotLeakCandidates) {
     graph::QueryGraph q = PathQuery(g, 2 + round % 3, 600 + round);
     MatchOptions par;
     par.num_threads = 4;
-    EXPECT_EQ(engine::Matcher(g, par, &pool).Count(q), fresh_counts[round])
+    par.chunk_size = 1;
+    MatchStats st;
+    EXPECT_EQ(engine::Matcher(g, par, &pool).Count(q, &st), fresh_counts[round])
         << "round " << round;
+    if (st.num_start_candidates > 1) {
+      ++parallel_rounds;
+      EXPECT_EQ(st.arena_workers, std::min<uint64_t>(4, st.num_start_candidates))
+          << "round " << round;
+    }
   }
+  EXPECT_GT(parallel_rounds, 0) << "no round reached the parallel path";
 }
 
 TEST(ArenaReuse, SolverReusesArenasAcrossEvaluateCalls) {

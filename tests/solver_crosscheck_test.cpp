@@ -249,6 +249,7 @@ TEST(SolverCrosscheck, GroupAggregateFuzz) {
     {
       MatchOptions o;
       o.num_threads = 3;
+      o.chunk_size = 1;  // few starts: one per chunk, so the workers fan out
       sparql::TurboBgpSolver turbo_par(typed, c.ds.dict(), o);
       EXPECT_EQ(expected, RunAggregated(turbo_par, c.query)) << "parallel type-aware";
     }
@@ -326,6 +327,7 @@ TEST(SolverCrosscheck, LargeGraphExecutorFuzz) {
     {
       MatchOptions o;
       o.num_threads = 3;
+      o.chunk_size = 1;  // few starts: one per chunk, so the workers fan out
       sparql::TurboBgpSolver turbo_par(typed, c.ds.dict(), o);
       EXPECT_EQ(reference, RunExecutor(turbo_par, c.query)) << "parallel type-aware";
       // Parallel workers batch rows into the delivery channel; the sorted

@@ -387,7 +387,7 @@ TEST(StreamingBlocks, MidStreamExplainCoversEveryRowSeen) {
   for (int round = 0; round < 50 && cursor.value().Next(&row); ++round) {
     ++seen;
     std::string plan = cursor.value().Explain();
-    if (plan.find("streaming snapshot") == std::string::npos) break;  // ended
+    if (plan.find("live counts") == std::string::npos) break;  // ended
     EXPECT_GE(SinkRowsIn(plan), seen) << plan;
     if (round % 7 == 0) std::this_thread::sleep_for(milliseconds(1));
   }
@@ -683,16 +683,16 @@ TEST(StreamingStatus, ExplainSnapshotsMidStreamThenSettles) {
   uint64_t drained = 0;
   ASSERT_TRUE(cursor.value().Next(&row));
   ++drained;
-  // Mid-stream: a stable snapshot taken at a delivery boundary, with real
-  // per-operator counts covering at least every row the consumer has seen.
+  // Mid-stream: the live per-operator counts, covering at least every row
+  // the consumer has seen.
   std::string mid = cursor.value().Explain();
-  EXPECT_NE(mid.find("streaming snapshot"), std::string::npos) << mid;
+  EXPECT_NE(mid.find("live counts"), std::string::npos) << mid;
   EXPECT_NE(mid.find("ChannelSink"), std::string::npos) << mid;
   EXPECT_EQ(mid.find("in=0 out=0"), std::string::npos) << mid;
   while (cursor.value().Next(&row)) ++drained;
   // Settled: the live counters, which must account for every delivered row.
   std::string plan = cursor.value().Explain();
-  EXPECT_EQ(plan.find("streaming snapshot"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("live counts"), std::string::npos) << plan;
   EXPECT_NE(plan.find("ChannelSink"), std::string::npos) << plan;
   EXPECT_NE(plan.find("out=" + std::to_string(drained)), std::string::npos) << plan;
 }
@@ -863,7 +863,10 @@ TEST_F(StreamingLubm, ParallelWorkersBatchDeliveryIntoTheChannel) {
   mo.stream_batch = 4;
   TurboBgpSolver solver(*typed_, ds_->dict(), mo);
   QueryEngine engine(&solver);
-  const std::string q = StudentQuery();
+  // Two query vertices: a single-vertex pattern is answered from the label
+  // list without any worker.
+  const std::string q = std::string("PREFIX ub: <") + workload::kUbPrefix +
+                        "> SELECT ?x ?c WHERE { ?x a ub:Student . ?x ub:takesCourse ?c . }";
 
   TurboBgpSolver seq(*typed_, ds_->dict());
   QueryEngine seq_engine(&seq);
@@ -884,6 +887,7 @@ TEST_F(StreamingLubm, ParallelWorkersBatchDeliveryIntoTheChannel) {
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expect);
   EXPECT_LE(cursor.value().peak_channel_rows(), 8u);
+  EXPECT_GT(solver.last_stats().arena_workers, 1u) << "the match did not fan out";
 }
 
 }  // namespace
